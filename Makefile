@@ -33,8 +33,11 @@ test-short:
 ## package (the batch kernels, the forest pool, the concurrent k-fold, and
 ## the httpx/miner concurrency all fan out goroutines). The raised timeout
 ## covers the race detector's ~10-20x slowdown on the experiment suites.
+## cmd/elevbench is its own Go module, so ./... never reaches it; it is
+## vetted and tested on its own because it imports the library's APIs.
 check: build vet staticcheck test
 	$(GO) test -race -timeout 45m ./...
+	cd cmd/elevbench && $(GO) vet ./... && $(GO) test ./...
 
 ## smoke-resume proves the crash-safety contract end to end: a SIGKILLed
 ## mining run, resumed from its journal, produces byte-identical output to an
@@ -94,21 +97,18 @@ fleet-smoke:
 	sh scripts/fleet_smoke.sh
 
 ## bench runs every experiment benchmark at smoke scale plus the substrate
-## micro-benchmarks, then the text-pipeline, training, serving-tier, and
-## ingestion comparison harnesses, which measure the legacy paths against
-## the current ones and write BENCH_textpipeline.json / BENCH_train.json /
-## BENCH_serving.json / BENCH_ingest.json.
+## micro-benchmarks, then the training, serving-tier, and ingestion
+## harnesses, which write BENCH_train.json / BENCH_serving.json /
+## BENCH_ingest.json.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-	$(GO) run ./cmd/textbench -out BENCH_textpipeline.json
 	$(GO) run ./cmd/trainbench -out BENCH_train.json
 	$(GO) run ./cmd/servebench -out BENCH_serving.json
 	$(GO) run ./cmd/ingestbench -out BENCH_ingest.json
 
-## bench-train runs only the training-path harness: the frozen per-sample
-## MLP trainer against the batched float64/float32/sparse paths and the
-## SVM dense path against its sparse one, with built-in bit-exactness
-## checks, writing BENCH_train.json.
+## bench-train runs only the training-path harness: MLP FitSparse on the
+## float64 and float32 paths (with their probability agreement) and SVM
+## FitSparse, writing BENCH_train.json.
 bench-train:
 	$(GO) run ./cmd/trainbench -out BENCH_train.json
 

@@ -1,11 +1,10 @@
-// Command trainbench measures classifier training hot paths — the frozen
-// per-sample MLP trainer against the batched float64, reduced-precision
-// float32, and sparse-CSR paths, and the SVM's dense fit against its
-// sparse one — on a synthetic corpus at the scale of the paper's Table II
-// mined datasets, and records ns/sample per path in a JSON report. Every
-// comparison doubles as a correctness check: the batched float64 paths
-// must reproduce the legacy model bit for bit, and the float32 path must
-// agree within reported tolerances.
+// Command trainbench measures the classifier training hot path on a
+// synthetic corpus at the scale of the paper's Table II mined datasets:
+// MLP FitSparse on the float64 path and on the opt-in reduced-precision
+// float32 path, and SVM FitSparse, recorded as ns/sample in a JSON report.
+// The float32 comparison doubles as a correctness check: both MLPs score
+// the training set and the report carries their largest probability gap
+// and argmax agreement.
 //
 // Usage:
 //
@@ -42,25 +41,12 @@ type corpusConfig struct {
 	MaxFeatures int `json:"max_features"`
 }
 
-// mlpReport compares the MLP training paths against the frozen per-sample
-// baseline.
+// mlpReport compares the MLP's float64 and float32 training paths.
 type mlpReport struct {
 	Epochs             int     `json:"epochs"`
-	LegacyNsPerSample  float64 `json:"legacy_ns_per_sample"`
-	BatchedNsPerSample float64 `json:"batched_ns_per_sample"`
-	SparseNsPerSample  float64 `json:"sparse_ns_per_sample"`
-	// Float32NsPerSample measures the float32 path on the sparse features —
-	// the configuration the Float32 knob actually deploys (bag-of-words
-	// batches train via FitSparse).
+	Float64NsPerSample float64 `json:"float64_ns_per_sample"`
 	Float32NsPerSample float64 `json:"float32_ns_per_sample"`
-	Speedup            float64 `json:"speedup"`         // legacy / batched (float64)
-	SparseSpeedup      float64 `json:"sparse_speedup"`  // legacy / sparse (float64)
-	Float32Speedup     float64 `json:"float32_speedup"` // legacy / float32
-	// BatchedBitExact and SparseBitExact report whether the batched and
-	// sparse float64 models reproduce the legacy model's probabilities bit
-	// for bit on every training sample.
-	BatchedBitExact bool `json:"batched_bit_exact"`
-	SparseBitExact  bool `json:"sparse_bit_exact"`
+	Float32Speedup     float64 `json:"float32_speedup"` // float64 / float32
 	// Float32MaxAbsDiff is the largest |p32 - p64| over all samples and
 	// classes; Float32ArgmaxAgreement the fraction of samples where both
 	// paths predict the same class.
@@ -68,13 +54,10 @@ type mlpReport struct {
 	Float32ArgmaxAgreement float64 `json:"float32_argmax_agreement"`
 }
 
-// svmReport compares the SVM's dense and sparse training paths.
+// svmReport records the SVM's training cost.
 type svmReport struct {
-	Epochs            int     `json:"epochs"`
-	DenseNsPerSample  float64 `json:"dense_ns_per_sample"`
-	SparseNsPerSample float64 `json:"sparse_ns_per_sample"`
-	Speedup           float64 `json:"speedup"`
-	SparseBitExact    bool    `json:"sparse_bit_exact"`
+	Epochs      int     `json:"epochs"`
+	NsPerSample float64 `json:"ns_per_sample"`
 }
 
 // report is the BENCH_train.json schema.
@@ -135,130 +118,62 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	dense := pipe.FeaturesAll(signals)
 	sparse := pipe.FeaturesAllSparse(signals)
-	rows := dense.RowSlices()
-
 	rep := report{Corpus: cc, Features: pipe.Dim()}
-
-	// MLP: legacy per-sample baseline vs batched f64 / sparse f64 / f32.
-	mcfg := mlp.DefaultConfig(cc.Classes)
-	mcfg.Epochs = mlpEpochs
-	mcfg.Seed = *seed
-	rep.MLP.Epochs = mlpEpochs
-
-	legacyRes := bestOf(2, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m := newLegacyMLP(mcfg.Classes, mcfg.Hidden, mcfg.Epochs, mcfg.BatchSize, mcfg.LearningRate, mcfg.Seed)
-			if err := m.fit(rows, y); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	batchedRes := bestOf(2, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m, err := mlp.New(mcfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := m.Fit(rows, y); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	sparseRes := bestOf(2, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m, err := mlp.New(mcfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := m.FitSparse(sparse, y); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	m32cfg := mcfg
-	m32cfg.Float32 = true
-	f32Res := bestOf(2, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m, err := mlp.New(m32cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := m.FitSparse(sparse, y); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	perSample := func(r testing.BenchmarkResult) float64 {
 		return float64(r.NsPerOp()) / float64(cc.Samples)
 	}
-	rep.MLP.LegacyNsPerSample = perSample(legacyRes)
-	rep.MLP.BatchedNsPerSample = perSample(batchedRes)
-	rep.MLP.SparseNsPerSample = perSample(sparseRes)
-	rep.MLP.Float32NsPerSample = perSample(f32Res)
-	rep.MLP.Speedup = rep.MLP.LegacyNsPerSample / rep.MLP.BatchedNsPerSample
-	rep.MLP.SparseSpeedup = rep.MLP.LegacyNsPerSample / rep.MLP.SparseNsPerSample
-	rep.MLP.Float32Speedup = rep.MLP.LegacyNsPerSample / rep.MLP.Float32NsPerSample
+	fitRes := func(fit func() error) testing.BenchmarkResult {
+		return bestOf(2, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := fit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	fitMLP := func(cfg mlp.Config) (*mlp.MLP, error) {
+		m, err := mlp.New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return m, m.FitSparse(sparse, y)
+	}
 
-	if err := checkMLPParity(&rep.MLP, mcfg, m32cfg, rows, sparse, y); err != nil {
+	// MLP: float64 vs float32.
+	mcfg := mlp.DefaultConfig(cc.Classes)
+	mcfg.Epochs = mlpEpochs
+	mcfg.Seed = *seed
+	m32cfg := mcfg
+	m32cfg.Float32 = true
+	rep.MLP.Epochs = mlpEpochs
+	rep.MLP.Float64NsPerSample = perSample(fitRes(func() error { _, err := fitMLP(mcfg); return err }))
+	rep.MLP.Float32NsPerSample = perSample(fitRes(func() error { _, err := fitMLP(m32cfg); return err }))
+	rep.MLP.Float32Speedup = rep.MLP.Float64NsPerSample / rep.MLP.Float32NsPerSample
+	m64, err := fitMLP(mcfg)
+	if err != nil {
+		return err
+	}
+	m32, err := fitMLP(m32cfg)
+	if err != nil {
+		return err
+	}
+	if err := compareFloat32(&rep.MLP, m64, m32, sparse); err != nil {
 		return err
 	}
 
-	// SVM: dense Fit vs FitSparse.
+	// SVM.
 	scfg := svm.DefaultConfig(cc.Classes)
 	scfg.Epochs = svmEpochs
 	scfg.Seed = *seed
 	rep.SVM.Epochs = svmEpochs
-	denseRes := bestOf(2, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			clf, err := svm.New(scfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := clf.Fit(rows, y); err != nil {
-				b.Fatal(err)
-			}
+	rep.SVM.NsPerSample = perSample(fitRes(func() error {
+		clf, err := svm.New(scfg)
+		if err != nil {
+			return err
 		}
-	})
-	sparseSVMRes := bestOf(2, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			clf, err := svm.New(scfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := clf.FitSparse(sparse, y); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	rep.SVM.DenseNsPerSample = perSample(denseRes)
-	rep.SVM.SparseNsPerSample = perSample(sparseSVMRes)
-	rep.SVM.Speedup = rep.SVM.DenseNsPerSample / rep.SVM.SparseNsPerSample
-
-	svmDense, err := svm.New(scfg)
-	if err != nil {
-		return err
-	}
-	if err := svmDense.Fit(rows, y); err != nil {
-		return err
-	}
-	svmSparse, err := svm.New(scfg)
-	if err != nil {
-		return err
-	}
-	if err := svmSparse.FitSparse(sparse, y); err != nil {
-		return err
-	}
-	sd, err := svmDense.Scores(dense)
-	if err != nil {
-		return err
-	}
-	ss, err := svmSparse.Scores(dense)
-	if err != nil {
-		return err
-	}
-	rep.SVM.SparseBitExact = bitsEqual(sd.Data, ss.Data)
+		return clf.FitSparse(sparse, y)
+	}))
 
 	blob, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -284,113 +199,46 @@ func run() error {
 
 	fmt.Printf("corpus: %d samples x %d points, %d classes, precision %d (%d features)\n",
 		cc.Samples, cc.Points, cc.Classes, cc.Precision, rep.Features)
-	fmt.Printf("mlp   legacy %12.0f ns/sample | batched %12.0f (%5.2fx, bit-exact=%v) | sparse %12.0f (%5.2fx, bit-exact=%v) | f32 %12.0f (%5.2fx, maxdiff=%.2e, argmax=%.3f)\n",
-		rep.MLP.LegacyNsPerSample,
-		rep.MLP.BatchedNsPerSample, rep.MLP.Speedup, rep.MLP.BatchedBitExact,
-		rep.MLP.SparseNsPerSample, rep.MLP.SparseSpeedup, rep.MLP.SparseBitExact,
-		rep.MLP.Float32NsPerSample, rep.MLP.Float32Speedup, rep.MLP.Float32MaxAbsDiff, rep.MLP.Float32ArgmaxAgreement)
-	fmt.Printf("svm   dense  %12.0f ns/sample | sparse  %12.0f (%5.2fx, bit-exact=%v)\n",
-		rep.SVM.DenseNsPerSample, rep.SVM.SparseNsPerSample, rep.SVM.Speedup, rep.SVM.SparseBitExact)
+	fmt.Printf("mlp   float64 %12.0f ns/sample | float32 %12.0f (%5.2fx, maxdiff=%.2e, argmax=%.3f)\n",
+		rep.MLP.Float64NsPerSample, rep.MLP.Float32NsPerSample, rep.MLP.Float32Speedup,
+		rep.MLP.Float32MaxAbsDiff, rep.MLP.Float32ArgmaxAgreement)
+	fmt.Printf("svm   float64 %12.0f ns/sample\n", rep.SVM.NsPerSample)
 	fmt.Printf("report written to %s\n", *out)
 	return nil
 }
 
-// checkMLPParity trains one model per path outside the timing loops and
-// fills the report's correctness fields: legacy-vs-batched and
-// legacy-vs-sparse probabilities compared bit for bit, float32-vs-float64
-// compared by max abs difference and argmax agreement.
-func checkMLPParity(r *mlpReport, cfg, cfg32 mlp.Config, rows [][]float64, sparse *linalg.SparseMatrix, y []int) error {
-	legacy := newLegacyMLP(cfg.Classes, cfg.Hidden, cfg.Epochs, cfg.BatchSize, cfg.LearningRate, cfg.Seed)
-	if err := legacy.fit(rows, y); err != nil {
-		return err
-	}
-	batched, err := mlp.New(cfg)
+// compareFloat32 scores the training set with both MLPs and fills the
+// report's float32 agreement fields.
+func compareFloat32(r *mlpReport, m64, m32 *mlp.MLP, x *linalg.SparseMatrix) error {
+	p64, err := m64.ScoresSparse(x)
 	if err != nil {
 		return err
 	}
-	if err := batched.Fit(rows, y); err != nil {
-		return err
-	}
-	sparseM, err := mlp.New(cfg)
+	p32, err := m32.ScoresSparse(x)
 	if err != nil {
 		return err
 	}
-	if err := sparseM.FitSparse(sparse, y); err != nil {
-		return err
+	for i, v := range p64.Data {
+		r.Float32MaxAbsDiff = math.Max(r.Float32MaxAbsDiff, math.Abs(p32.Data[i]-v))
 	}
-	m32, err := mlp.New(cfg32)
-	if err != nil {
-		return err
-	}
-	if err := m32.FitSparse(sparse, y); err != nil {
-		return err
-	}
-
-	r.BatchedBitExact = true
-	r.SparseBitExact = true
 	agree := 0
-	scratch := legacy.newScratch()
-	for i, row := range rows {
-		lp := legacy.probabilities(row, scratch)
-		bp, err := batched.Probabilities(row)
-		if err != nil {
-			return err
-		}
-		sp, err := sparseM.Probabilities(row)
-		if err != nil {
-			return err
-		}
-		p32, err := m32.Probabilities(row)
-		if err != nil {
-			return err
-		}
-		if !bitsEqual(lp, bp) {
-			r.BatchedBitExact = false
-		}
-		if !bitsEqual(lp, sp) {
-			r.SparseBitExact = false
-		}
-		for c := range bp {
-			if d := math.Abs(p32[c] - bp[c]); d > r.Float32MaxAbsDiff {
-				r.Float32MaxAbsDiff = d
-			}
-		}
-		if linalg.ArgMax(p32) == linalg.ArgMax(bp) {
+	for i := 0; i < p64.Rows; i++ {
+		if linalg.ArgMax(p64.Row(i)) == linalg.ArgMax(p32.Row(i)) {
 			agree++
 		}
-		_ = i
 	}
-	r.Float32ArgmaxAgreement = float64(agree) / float64(len(rows))
+	r.Float32ArgmaxAgreement = float64(agree) / float64(p64.Rows)
 	return nil
-}
-
-// bitsEqual reports whether two float64 slices are bitwise identical.
-func bitsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // publishReport routes the BENCH report through the metrics registry as
 // gauges, so the same numbers that land in BENCH_train.json are
 // scrapeable (and renderable with -metrics-out).
 func publishReport(rep report) {
-	obs.GetGauge(`elevpriv_trainbench_ns_per_sample{model="mlp",path="legacy"}`).Set(rep.MLP.LegacyNsPerSample)
-	obs.GetGauge(`elevpriv_trainbench_ns_per_sample{model="mlp",path="batched"}`).Set(rep.MLP.BatchedNsPerSample)
-	obs.GetGauge(`elevpriv_trainbench_ns_per_sample{model="mlp",path="sparse"}`).Set(rep.MLP.SparseNsPerSample)
+	obs.GetGauge(`elevpriv_trainbench_ns_per_sample{model="mlp",path="float64"}`).Set(rep.MLP.Float64NsPerSample)
 	obs.GetGauge(`elevpriv_trainbench_ns_per_sample{model="mlp",path="float32"}`).Set(rep.MLP.Float32NsPerSample)
-	obs.GetGauge(`elevpriv_trainbench_speedup{model="mlp",path="batched"}`).Set(rep.MLP.Speedup)
-	obs.GetGauge(`elevpriv_trainbench_speedup{model="mlp",path="sparse"}`).Set(rep.MLP.SparseSpeedup)
 	obs.GetGauge(`elevpriv_trainbench_speedup{model="mlp",path="float32"}`).Set(rep.MLP.Float32Speedup)
-	obs.GetGauge(`elevpriv_trainbench_ns_per_sample{model="svm",path="dense"}`).Set(rep.SVM.DenseNsPerSample)
-	obs.GetGauge(`elevpriv_trainbench_ns_per_sample{model="svm",path="sparse"}`).Set(rep.SVM.SparseNsPerSample)
-	obs.GetGauge(`elevpriv_trainbench_speedup{model="svm",path="sparse"}`).Set(rep.SVM.Speedup)
+	obs.GetGauge(`elevpriv_trainbench_ns_per_sample{model="svm",path="float64"}`).Set(rep.SVM.NsPerSample)
 	obs.GetGauge("elevpriv_trainbench_corpus_samples").Set(float64(rep.Corpus.Samples))
 	obs.GetGauge("elevpriv_trainbench_features").Set(float64(rep.Features))
 }

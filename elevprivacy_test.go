@@ -115,29 +115,46 @@ func TestTrainTextAttackPredicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attack, err := TrainTextAttack(d, DefaultTextAttackConfig(ClassifierRandomForest))
-	if err != nil {
-		t.Fatal(err)
+	profiles := make([][]float64, len(d.Samples))
+	for i := range d.Samples {
+		profiles[i] = d.Samples[i].Elevations
 	}
-	if got := len(attack.Labels()); got != 10 {
-		t.Fatalf("attack labels = %d", got)
-	}
-	// Training-set prediction should mostly hit.
-	var correct int
-	for _, s := range d.Samples[:50] {
-		pred, err := attack.PredictLocation(s.Elevations)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pred == s.Label {
-			correct++
-		}
-	}
-	if correct < 35 {
-		t.Errorf("train-set correct = %d/50", correct)
-	}
-	if _, err := attack.PredictLocation(nil); err == nil {
-		t.Error("empty profile accepted")
+	for _, kind := range []ClassifierKind{ClassifierSVM, ClassifierRandomForest, ClassifierMLP} {
+		t.Run(string(kind), func(t *testing.T) {
+			attack, err := TrainTextAttack(d, DefaultTextAttackConfig(kind))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(attack.Labels()); got != 10 {
+				t.Fatalf("attack labels = %d", got)
+			}
+			batch, err := attack.PredictLocations(profiles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A single profile is a batch of one: it must get the label it
+			// gets inside the whole batch. Training-set prediction should
+			// mostly hit.
+			var correct int
+			for i, p := range profiles {
+				pred, err := attack.PredictLocation(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pred != batch[i] {
+					t.Fatalf("profile %d: alone %q, in batch %q", i, pred, batch[i])
+				}
+				if pred == d.Samples[i].Label {
+					correct++
+				}
+			}
+			if correct < 7*len(profiles)/10 {
+				t.Errorf("train-set correct = %d/%d", correct, len(profiles))
+			}
+			if _, err := attack.PredictLocation(nil); err == nil {
+				t.Error("empty profile accepted")
+			}
+		})
 	}
 }
 

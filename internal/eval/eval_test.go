@@ -236,11 +236,7 @@ func TestCrossValidateOnSeparableData(t *testing.T) {
 			y = append(y, c)
 		}
 	}
-	xm, err := linalg.FromRows(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := CrossValidate(xm, y, 2, 5, 7, func() (ml.Classifier, error) {
+	m, err := CrossValidateSparse(csr(t, x), y, 2, 5, 7, func() (ml.Classifier, error) {
 		return svm.New(svm.DefaultConfig(2))
 	})
 	if err != nil {
@@ -255,8 +251,12 @@ func TestCrossValidateOnSeparableData(t *testing.T) {
 }
 
 func TestCrossValidateValidation(t *testing.T) {
-	if _, err := CrossValidate(linalg.NewMatrix(1, 1), []int{0, 1}, 2, 2, 1, nil); err == nil {
+	one := linalg.SparseFromDense(linalg.NewMatrix(1, 1))
+	if _, err := CrossValidateSparse(one, []int{0, 1}, 2, 2, 1, nil); err == nil {
 		t.Error("length mismatch accepted")
+	}
+	if _, err := CrossValidateConfusion(one, []int{0, 1}, 2, 2, 1, nil); err == nil {
+		t.Error("length mismatch accepted by the pooled protocol")
 	}
 }
 
@@ -450,11 +450,7 @@ func TestCrossValidateConfusionPools(t *testing.T) {
 			y = append(y, c)
 		}
 	}
-	xm, err := linalg.FromRows(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm, err := CrossValidateConfusion(xm, y, 2, 4, 7, func() (ml.Classifier, error) {
+	cm, err := CrossValidateConfusion(csr(t, x), y, 2, 4, 7, func() (ml.Classifier, error) {
 		return svm.New(svm.DefaultConfig(2))
 	})
 	if err != nil {

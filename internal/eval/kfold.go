@@ -63,69 +63,15 @@ func sortInts(v []int) {
 	}
 }
 
-// featData couples the CSR form of a feature set with a lazily
-// materialized dense form. Classifiers with native sparse train/score
-// paths never trigger the densify; the first fold that needs dense rows
-// (a forest, say) materializes them once for all folds, guarded by the
-// sync.Once so concurrent folds race safely.
-type featData struct {
-	sp   *linalg.SparseMatrix
-	once sync.Once
-	x    *linalg.Matrix
-}
-
-func (d *featData) rows() int {
-	if d.sp != nil {
-		return d.sp.Rows
-	}
-	return d.x.Rows
-}
-
-// dense returns the dense form, materializing it from the CSR form on
-// first use.
-func (d *featData) dense() *linalg.Matrix {
-	d.once.Do(func() {
-		if d.x == nil {
-			d.x = d.sp.ToDense()
-		}
-	})
-	return d.x
-}
-
-// CrossValidate runs k-fold cross-validation over a dense feature matrix
-// (one sample per row): for each fold, a fresh classifier from factory
-// trains on the remaining folds and is scored on the held-out fold with
-// one PredictBatch call; per-fold metrics are averaged (the paper averages
-// the results of the 10 folds). Folds evaluate concurrently; the stratified
-// split and every classifier seed derive from seed, so results are
-// deterministic regardless of scheduling.
-func CrossValidate(x *linalg.Matrix, y []int, classes, k int, seed int64, factory func() (ml.Classifier, error)) (Metrics, error) {
-	return crossValidate(&featData{x: x}, y, classes, k, seed, factory)
-}
-
-// CrossValidateSparse runs the same k-fold protocol over a CSR feature
-// matrix, staying sparse end to end when the classifier allows it:
-// training folds feed FitSparse for ml.SparseTrainer implementations and
-// held-out folds feed PredictBatchSparse for ml.SparseBatchClassifier
-// implementations. Classifiers without a sparse train path (the forest)
-// trigger a single lazy densify shared across folds. Both sparse paths
-// are bit-identical to their dense counterparts by interface contract, so
-// metrics match CrossValidate on ToDense() exactly.
+// CrossValidateSparse runs k-fold cross-validation over a CSR feature
+// matrix (one sample per row): for each fold, a fresh classifier from
+// factory trains on the remaining folds' rows and is scored on the
+// held-out fold with one PredictBatchSparse call; per-fold metrics are
+// averaged (the paper averages the results of the 10 folds). Folds
+// evaluate concurrently; the stratified split and every classifier seed
+// derive from seed, so results are deterministic regardless of scheduling.
 func CrossValidateSparse(sp *linalg.SparseMatrix, y []int, classes, k int, seed int64, factory func() (ml.Classifier, error)) (Metrics, error) {
-	return crossValidate(&featData{sp: sp}, y, classes, k, seed, factory)
-}
-
-func crossValidate(d *featData, y []int, classes, k int, seed int64, factory func() (ml.Classifier, error)) (Metrics, error) {
-	if d.rows() != len(y) {
-		return Metrics{}, fmt.Errorf("eval: %d samples but %d labels", d.rows(), len(y))
-	}
-	rng := rand.New(rand.NewSource(seed))
-	folds, err := StratifiedKFold(y, k, rng)
-	if err != nil {
-		return Metrics{}, err
-	}
-
-	cms, err := runFolds(d, y, classes, folds, factory)
+	cms, err := crossValidate(sp, y, classes, k, seed, factory)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -139,16 +85,8 @@ func crossValidate(d *featData, y []int, classes, k int, seed int64, factory fun
 // CrossValidateConfusion runs the same k-fold protocol but returns the
 // POOLED confusion matrix over all folds, for error analysis (which
 // classes get confused with which).
-func CrossValidateConfusion(x *linalg.Matrix, y []int, classes, k int, seed int64, factory func() (ml.Classifier, error)) (*ConfusionMatrix, error) {
-	if x.Rows != len(y) {
-		return nil, fmt.Errorf("eval: %d samples but %d labels", x.Rows, len(y))
-	}
-	rng := rand.New(rand.NewSource(seed))
-	folds, err := StratifiedKFold(y, k, rng)
-	if err != nil {
-		return nil, err
-	}
-	cms, err := runFolds(&featData{x: x}, y, classes, folds, factory)
+func CrossValidateConfusion(sp *linalg.SparseMatrix, y []int, classes, k int, seed int64, factory func() (ml.Classifier, error)) (*ConfusionMatrix, error) {
+	cms, err := crossValidate(sp, y, classes, k, seed, factory)
 	if err != nil {
 		return nil, err
 	}
@@ -170,9 +108,17 @@ func CrossValidateConfusion(x *linalg.Matrix, y []int, classes, k int, seed int6
 	return pooled, nil
 }
 
-// runFolds evaluates every fold concurrently; per-fold confusion matrices
-// land in fixed slots, so results are deterministic.
-func runFolds(d *featData, y []int, classes int, folds [][]int, factory func() (ml.Classifier, error)) ([]*ConfusionMatrix, error) {
+// crossValidate splits the samples into k stratified folds and evaluates
+// every fold concurrently; per-fold confusion matrices land in fixed
+// slots, so results are deterministic.
+func crossValidate(sp *linalg.SparseMatrix, y []int, classes, k int, seed int64, factory func() (ml.Classifier, error)) ([]*ConfusionMatrix, error) {
+	if sp.Rows != len(y) {
+		return nil, fmt.Errorf("eval: %d samples but %d labels", sp.Rows, len(y))
+	}
+	folds, err := StratifiedKFold(y, k, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		return nil, err
+	}
 	cms := make([]*ConfusionMatrix, len(folds))
 	errs := make([]error, len(folds))
 	var wg sync.WaitGroup
@@ -181,7 +127,7 @@ func runFolds(d *featData, y []int, classes int, folds [][]int, factory func() (
 		go func(f int) {
 			defer wg.Done()
 			start := time.Now()
-			cms[f], errs[f] = evaluateFold(d, y, classes, folds[f], factory)
+			cms[f], errs[f] = evaluateFold(sp, y, classes, folds[f], factory)
 			foldSeconds.ObserveSince(start)
 			foldsTotal.Inc()
 		}(f)
@@ -196,21 +142,16 @@ func runFolds(d *featData, y []int, classes int, folds [][]int, factory func() (
 }
 
 // evaluateFold trains a fresh classifier on everything outside the fold
-// and scores the fold in one batch prediction. With a CSR feature set,
-// both halves stay sparse when the classifier's interfaces allow: training
-// folds gather into a CSR sub-matrix for ml.SparseTrainer implementations,
-// held-out folds for ml.SparseBatchClassifier ones. The dense fallbacks
-// use zero-copy row views into the (lazily materialized) dense matrix for
-// training and a gathered dense test matrix for scoring.
-func evaluateFold(d *featData, y []int, classes int, fold []int, factory func() (ml.Classifier, error)) (*ConfusionMatrix, error) {
+// and scores the fold in one batch prediction, gathering both halves as
+// CSR sub-matrices.
+func evaluateFold(sp *linalg.SparseMatrix, y []int, classes int, fold []int, factory func() (ml.Classifier, error)) (*ConfusionMatrix, error) {
 	holdout := map[int]bool{}
 	for _, i := range fold {
 		holdout[i] = true
 	}
-	n := d.rows()
-	trainIdx := make([]int, 0, n-len(fold))
-	trainY := make([]int, 0, n-len(fold))
-	for i := 0; i < n; i++ {
+	trainIdx := make([]int, 0, sp.Rows-len(fold))
+	trainY := make([]int, 0, sp.Rows-len(fold))
+	for i := 0; i < sp.Rows; i++ {
 		if !holdout[i] {
 			trainIdx = append(trainIdx, i)
 			trainY = append(trainY, y[i])
@@ -221,31 +162,10 @@ func evaluateFold(d *featData, y []int, classes int, fold []int, factory func() 
 	if err != nil {
 		return nil, err
 	}
-	if st, ok := clf.(ml.SparseTrainer); ok && d.sp != nil {
-		err = st.FitSparse(d.sp.GatherRows(trainIdx), trainY)
-	} else {
-		x := d.dense()
-		trainX := make([][]float64, len(trainIdx))
-		for k, i := range trainIdx {
-			trainX[k] = x.Row(i)
-		}
-		err = clf.Fit(trainX, trainY)
-	}
-	if err != nil {
+	if err := clf.FitSparse(sp.GatherRows(trainIdx), trainY); err != nil {
 		return nil, fmt.Errorf("fit: %w", err)
 	}
-
-	var preds []int
-	if sc, ok := clf.(ml.SparseBatchClassifier); ok && d.sp != nil {
-		preds, err = sc.PredictBatchSparse(d.sp.GatherRows(fold))
-	} else {
-		x := d.dense()
-		testX := linalg.NewMatrix(len(fold), x.Cols)
-		for k, i := range fold {
-			copy(testX.Row(k), x.Row(i))
-		}
-		preds, err = clf.PredictBatch(testX)
-	}
+	preds, err := clf.PredictBatchSparse(sp.GatherRows(fold))
 	if err != nil {
 		return nil, fmt.Errorf("predict: %w", err)
 	}

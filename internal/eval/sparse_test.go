@@ -9,9 +9,20 @@ import (
 	"elevprivacy/internal/ml/svm"
 )
 
-// TestCrossValidateSparseMatchesDense pins that the sparse CV entry point
-// produces exactly the metrics of the dense one on the same data — folds,
-// seeds, and scores all line up bit for bit.
+// csr converts dense rows to a CSR feature matrix.
+func csr(t *testing.T, x [][]float64) *linalg.SparseMatrix {
+	t.Helper()
+	m, err := linalg.FromRows(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return linalg.SparseFromDense(m)
+}
+
+// TestCrossValidateSparseMatchesDense pins that cross-validation never
+// depends on which zeros a CSR matrix stores: the same rows with every
+// zero stored (the dense layout) give exactly the metrics of the
+// compacted form — folds, seeds, and scores all line up bit for bit.
 func TestCrossValidateSparseMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var x [][]float64
@@ -28,21 +39,25 @@ func TestCrossValidateSparseMatchesDense(t *testing.T) {
 			y = append(y, c)
 		}
 	}
-	xm, err := linalg.FromRows(x)
-	if err != nil {
-		t.Fatal(err)
+	dense := linalg.NewSparseMatrix(len(x), len(x[0]), len(x)*len(x[0]))
+	for _, row := range x {
+		for j, v := range row {
+			dense.ColIdx = append(dense.ColIdx, int32(j))
+			dense.Val = append(dense.Val, v)
+		}
+		dense.AppendRow()
 	}
 	factory := func() (ml.Classifier, error) { return svm.New(svm.DefaultConfig(3)) }
 
-	dense, err := CrossValidate(xm, y, 3, 5, 7, factory)
+	want, err := CrossValidateSparse(dense, y, 3, 5, 7, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := CrossValidateSparse(linalg.SparseFromDense(xm), y, 3, 5, 7, factory)
+	got, err := CrossValidateSparse(csr(t, x), y, 3, 5, 7, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dense != sparse {
-		t.Fatalf("sparse CV metrics %+v, dense %+v", sparse, dense)
+	if want != got {
+		t.Fatalf("compact CSR metrics %+v, dense layout %+v", got, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"elevprivacy/internal/defense"
 	"elevprivacy/internal/eval"
 	"elevprivacy/internal/ml"
+	"elevprivacy/internal/ml/linalg"
 	"elevprivacy/internal/ml/mlp"
 	"elevprivacy/internal/spectral"
 	"elevprivacy/internal/textrep"
@@ -98,7 +99,7 @@ func ExtensionSpectralBaseline(cfg Config) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		m, err := eval.CrossValidate(x, y, enc.Len(), cfg.Folds10, cfg.Seed, func() (ml.Classifier, error) {
+		m, err := eval.CrossValidateSparse(linalg.SparseFromDense(x), y, enc.Len(), cfg.Folds10, cfg.Seed, func() (ml.Classifier, error) {
 			c := mlp.DefaultConfig(enc.Len())
 			c.Seed = cfg.Seed
 			return mlp.New(c)
@@ -160,7 +161,7 @@ func ExtensionConfusionAnalysis(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cm, err := eval.CrossValidateConfusion(pipe.FeaturesAll(signals), y, enc.Len(), cfg.Folds10, cfg.Seed,
+	cm, err := eval.CrossValidateConfusion(pipe.FeaturesAllSparse(signals), y, enc.Len(), cfg.Folds10, cfg.Seed,
 		func() (ml.Classifier, error) {
 			c := mlp.DefaultConfig(enc.Len())
 			c.Seed = cfg.Seed

@@ -7,61 +7,36 @@ import (
 	"elevprivacy/internal/ml/linalg"
 )
 
-// TestPredictBatchMatchesPredict pins the batch contract: the parallel
-// per-tree vote must reproduce per-sample Predict (including the
-// lowest-index tie-break) on every row.
+// TestPredictBatchMatchesPredict pins the batch contract single-sample
+// prediction relies on: the parallel per-row vote must give every row the
+// class it gets as a batch of one.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	x, y := blobs([][]float64{{0, 0}, {5, 0}, {0, 5}}, 20, 1.2, 7)
 	f, err := New(testConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
+	fit(t, f, x, y)
 
-	xm, err := linalg.FromRows(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := f.PredictBatch(xm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch := predict(t, f, x)
 	for i := range x {
-		want, err := f.Predict(x[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batch[i] != want {
-			t.Errorf("sample %d: batch %d, serial %d", i, batch[i], want)
+		if one := predict(t, f, x[i:i+1]); batch[i] != one[0] {
+			t.Errorf("sample %d: batch %d, alone %d", i, batch[i], one[0])
 		}
 	}
 }
 
-// TestScoresAreVoteFractions checks each Scores row sums to 1 and that the
-// argmax matches PredictBatch.
+// TestScoresAreVoteFractions checks each ScoresSparse row sums to 1 and
+// that the argmax matches PredictBatchSparse.
 func TestScoresAreVoteFractions(t *testing.T) {
 	x, y := blobs([][]float64{{0, 0}, {4, 4}}, 15, 0.8, 9)
 	f, err := New(testConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	xm, err := linalg.FromRows(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scores, err := f.Scores(xm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	preds, err := f.PredictBatch(xm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fit(t, f, x, y)
+	scores := voteShares(t, f, x)
+	preds := predict(t, f, x)
 	for i := 0; i < scores.Rows; i++ {
 		var sum float64
 		for _, v := range scores.Row(i) {
@@ -84,7 +59,7 @@ func TestPredictBatchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.PredictBatch(linalg.NewMatrix(1, 1)); err == nil {
-		t.Error("batch predict before fit accepted")
+	if _, err := f.ScoresSparse(linalg.SparseFromDense(linalg.NewMatrix(1, 1))); err == nil {
+		t.Error("scoring before fit accepted")
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"elevprivacy/internal/ml/linalg"
 )
 
-func benchFitted(b *testing.B, n int) (*Forest, [][]float64, *linalg.Matrix) {
+func benchFitted(b *testing.B, n int) (*Forest, [][]float64, *linalg.SparseMatrix) {
 	b.Helper()
 	centers := [][]float64{{0, 0, 0, 0}, {5, 0, 5, 0}, {0, 5, 0, 5}}
 	x, y := blobs(centers, n/3, 1.0, 1)
@@ -16,18 +16,13 @@ func benchFitted(b *testing.B, n int) (*Forest, [][]float64, *linalg.Matrix) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := f.Fit(x, y); err != nil {
-		b.Fatal(err)
-	}
-	xm, err := linalg.FromRows(x)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return f, x, xm
+	fit(b, f, x, y)
+	return f, x, csr(b, x)
 }
 
 func BenchmarkFit(b *testing.B) {
 	x, y := blobs([][]float64{{0, 0, 0, 0}, {5, 0, 5, 0}, {0, 5, 0, 5}}, 60, 1.0, 1)
+	sp := csr(b, x)
 	cfg := testConfig(3)
 	cfg.Trees = 50
 	b.ReportAllocs()
@@ -37,7 +32,7 @@ func BenchmarkFit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := f.Fit(x, y); err != nil {
+		if err := f.FitSparse(sp, y); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -45,11 +40,15 @@ func BenchmarkFit(b *testing.B) {
 
 func BenchmarkPredictLoop(b *testing.B) {
 	f, x, _ := benchFitted(b, 240)
+	rows := make([]*linalg.SparseMatrix, len(x))
+	for j := range x {
+		rows[j] = csr(b, x[j:j+1])
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range x {
-			if _, err := f.Predict(x[j]); err != nil {
+		for _, row := range rows {
+			if _, err := f.PredictBatchSparse(row); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -57,11 +56,11 @@ func BenchmarkPredictLoop(b *testing.B) {
 }
 
 func BenchmarkPredictBatch(b *testing.B) {
-	f, _, xm := benchFitted(b, 240)
+	f, _, sp := benchFitted(b, 240)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.PredictBatch(xm); err != nil {
+		if _, err := f.PredictBatchSparse(sp); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -50,10 +50,7 @@ type Forest struct {
 	trees []*node
 }
 
-var (
-	_ ml.Classifier            = (*Forest)(nil)
-	_ ml.SparseBatchClassifier = (*Forest)(nil)
-)
+var _ ml.Classifier = (*Forest)(nil)
 
 // node is one CART tree node; leaves carry a class.
 type node struct {
@@ -80,13 +77,17 @@ func New(cfg Config) (*Forest, error) {
 	return &Forest{cfg: cfg}, nil
 }
 
-// Fit grows all trees on bootstrap resamples. Trees are independent and
-// grow concurrently, each with its own seeded RNG for determinism.
-func (f *Forest) Fit(x [][]float64, y []int) error {
-	dim, err := ml.ValidateTrainingSet(x, y, f.cfg.Classes)
-	if err != nil {
+// FitSparse grows all trees on bootstrap resamples. Split search sorts
+// whole feature columns, so the forest is the one model that wants dense
+// rows: it densifies the CSR batch once, here, and the grown trees are
+// exactly those dense rows would give. Trees are independent and grow
+// concurrently, each with its own seeded RNG for determinism.
+func (f *Forest) FitSparse(sp *linalg.SparseMatrix, y []int) error {
+	if err := ml.ValidateSparseTrainingSet(sp, y, f.cfg.Classes); err != nil {
 		return fmt.Errorf("forest: %w", err)
 	}
+	x := sp.ToDense().RowSlices()
+	dim := sp.Cols
 	f.dim = dim
 
 	mtry := f.cfg.FeaturesPerSplit
@@ -274,126 +275,8 @@ func majorityClass(counts []int, total int) (class int, pure bool) {
 	return best, counts[best] == total
 }
 
-// Predict majority-votes the trees (lowest class index on ties).
-func (f *Forest) Predict(x []float64) (int, error) {
-	if f.trees == nil {
-		return 0, fmt.Errorf("forest: model not fitted")
-	}
-	if len(x) != f.dim {
-		return 0, fmt.Errorf("forest: feature dim %d, model expects %d", len(x), f.dim)
-	}
-	votes := make([]int, f.cfg.Classes)
-	for _, t := range f.trees {
-		votes[classify(t, x)]++
-	}
-	best := 0
-	for c, n := range votes {
-		if n > votes[best] {
-			best = c
-		}
-	}
-	return best, nil
-}
-
-// Scores returns the fraction of trees voting for each class, one row per
-// sample. Trees vote over the whole batch in parallel: each worker owns a
-// private vote grid and walks a contiguous range of trees, and the grids
-// are reduced in worker order, so the tallies (and the argmax tie-breaks)
-// are identical to a serial vote.
-func (f *Forest) Scores(x *linalg.Matrix) (*linalg.Matrix, error) {
-	votes, err := f.voteBatch(x)
-	if err != nil {
-		return nil, err
-	}
-	inv := 1 / float64(len(f.trees))
-	for i, v := range votes.Data {
-		votes.Data[i] = v * inv
-	}
-	return votes, nil
-}
-
-// PredictBatch majority-votes the trees over every row of x.
-func (f *Forest) PredictBatch(x *linalg.Matrix) ([]int, error) {
-	votes, err := f.voteBatch(x)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, votes.Rows)
-	for i := range out {
-		row := votes.Row(i)
-		best := 0
-		for c, n := range row {
-			if n > row[best] {
-				best = c
-			}
-		}
-		out[i] = best
-	}
-	return out, nil
-}
-
-// voteBatch tallies per-sample, per-class tree votes for a feature batch.
-func (f *Forest) voteBatch(x *linalg.Matrix) (*linalg.Matrix, error) {
-	if f.trees == nil {
-		return nil, fmt.Errorf("forest: model not fitted")
-	}
-	if x.Cols != f.dim {
-		return nil, fmt.Errorf("forest: feature dim %d, model expects %d", x.Cols, f.dim)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(f.trees) {
-		workers = len(f.trees)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	grids := make([]*linalg.Matrix, workers)
-	chunk := (len(f.trees) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(f.trees) {
-			grids[w] = nil
-			continue
-		}
-		hi := lo + chunk
-		if hi > len(f.trees) {
-			hi = len(f.trees)
-		}
-		grids[w] = linalg.NewMatrix(x.Rows, f.cfg.Classes)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			// Row views hoisted out of the hot loop; samples stay outermost
-			// so each feature row is walked by every tree while hot.
-			gRows := grids[w].RowSlices()
-			xRows := x.RowSlices()
-			trees := f.trees[lo:hi]
-			for i, row := range xRows {
-				g := gRows[i]
-				for _, t := range trees {
-					g[classify(t, row)]++
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	votes := linalg.NewMatrix(x.Rows, f.cfg.Classes)
-	for _, g := range grids {
-		if g == nil {
-			continue
-		}
-		for i, v := range g.Data {
-			votes.Data[i] += v
-		}
-	}
-	return votes, nil
-}
-
-// ScoresSparse returns the per-class vote fractions for a CSR feature
-// batch. Identical tallies to Scores on the dense form of x: votes are
-// integers, exactly representable, so reduction order cannot drift.
+// ScoresSparse returns the fraction of trees voting for each class, one
+// row per sample of a CSR feature batch.
 func (f *Forest) ScoresSparse(x *linalg.SparseMatrix) (*linalg.Matrix, error) {
 	votes, err := f.voteBatchSparse(x)
 	if err != nil {
@@ -407,32 +290,20 @@ func (f *Forest) ScoresSparse(x *linalg.SparseMatrix) (*linalg.Matrix, error) {
 }
 
 // PredictBatchSparse majority-votes the trees over every row of a CSR
-// feature batch.
+// feature batch (lowest class index on ties).
 func (f *Forest) PredictBatchSparse(x *linalg.SparseMatrix) ([]int, error) {
 	votes, err := f.voteBatchSparse(x)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, votes.Rows)
-	for i := range out {
-		row := votes.Row(i)
-		best := 0
-		for c, n := range row {
-			if n > row[best] {
-				best = c
-			}
-		}
-		out[i] = best
-	}
-	return out, nil
+	return linalg.ArgMaxRows(votes), nil
 }
 
-// voteBatchSparse tallies tree votes for a CSR batch. Unlike the dense
-// path (workers split the TREES), workers here split the ROWS: each
-// scatters its row once into a private dense scratch, walks every tree
-// while the row is hot, then clears only the touched positions. Per-row
-// tallies are independent, so any worker count produces the dense path's
-// exact counts.
+// voteBatchSparse tallies tree votes for a CSR batch. Workers split the
+// ROWS: each scatters its row once into a private dense scratch, walks
+// every tree while the row is hot, then clears only the touched positions.
+// Per-row tallies are independent, so any worker count — and any batch a
+// row shares — produces the same counts.
 func (f *Forest) voteBatchSparse(x *linalg.SparseMatrix) (*linalg.Matrix, error) {
 	if f.trees == nil {
 		return nil, fmt.Errorf("forest: model not fitted")

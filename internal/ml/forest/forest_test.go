@@ -28,6 +28,55 @@ func testConfig(classes int) Config {
 	return cfg
 }
 
+// csr converts dense rows to the CSR batch the forest consumes.
+func csr(t testing.TB, x [][]float64) *linalg.SparseMatrix {
+	t.Helper()
+	m, err := linalg.FromRows(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return linalg.SparseFromDense(m)
+}
+
+// fit trains f on dense rows through FitSparse.
+func fit(t testing.TB, f *Forest, x [][]float64, y []int) {
+	t.Helper()
+	if err := f.FitSparse(csr(t, x), y); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// predict returns the forest's vote for every row of x.
+func predict(t testing.TB, f *Forest, x [][]float64) []int {
+	t.Helper()
+	preds, err := f.PredictBatchSparse(csr(t, x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return preds
+}
+
+// voteShares returns the per-class vote fractions for every row of x.
+func voteShares(t testing.TB, f *Forest, x [][]float64) *linalg.Matrix {
+	t.Helper()
+	s, err := f.ScoresSparse(csr(t, x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func accuracy(t *testing.T, f *Forest, x [][]float64, y []int) float64 {
+	t.Helper()
+	var correct int
+	for i, p := range predict(t, f, x) {
+		if p == y[i] {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(x))
+}
+
 // TestRefitMatchesFresh pins the Fit contract shared by all four
 // classifiers: refitting a used model is bit-identical to fitting a fresh
 // one — tree RNGs derive from cfg.Seed and the tree index, never from
@@ -38,31 +87,14 @@ func TestRefitMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := refit.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if err := refit.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
+	fit(t, refit, x, y)
+	fit(t, refit, x, y)
 	fresh, err := New(testConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	xm, err := linalg.FromRows(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fresh.Scores(xm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := refit.Scores(xm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fit(t, fresh, x, y)
+	want, got := voteShares(t, fresh, x), voteShares(t, refit, x)
 	for i := range want.Data {
 		if want.Data[i] != got.Data[i] {
 			t.Fatalf("vote share %d: refit %v, fresh %v", i, got.Data[i], want.Data[i])
@@ -90,20 +122,8 @@ func TestSeparableBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	var correct int
-	for i := range x {
-		pred, err := f.Predict(x[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pred == y[i] {
-			correct++
-		}
-	}
-	if acc := float64(correct) / float64(len(x)); acc < 0.95 {
+	fit(t, f, x, y)
+	if acc := accuracy(t, f, x, y); acc < 0.95 {
 		t.Errorf("accuracy = %f", acc)
 	}
 }
@@ -127,17 +147,8 @@ func TestNonLinearXOR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	var correct int
-	for i := range x {
-		pred, _ := f.Predict(x[i])
-		if pred == y[i] {
-			correct++
-		}
-	}
-	if acc := float64(correct) / float64(len(x)); acc < 0.9 {
+	fit(t, f, x, y)
+	if acc := accuracy(t, f, x, y); acc < 0.9 {
 		t.Errorf("XOR accuracy = %f, want >= 0.9", acc)
 	}
 }
@@ -151,14 +162,8 @@ func TestDeterministicTraining(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Fit(x, y); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]int, len(probe))
-		for i, p := range probe {
-			out[i], _ = f.Predict(p)
-		}
-		return out
+		fit(t, f, x, y)
+		return predict(t, f, probe)
 	}
 	a := run()
 	b := run()
@@ -178,14 +183,9 @@ func TestPureNodeShortCircuits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if pred, _ := f.Predict([]float64{0.05}); pred != 0 {
-		t.Errorf("pred = %d", pred)
-	}
-	if pred, _ := f.Predict([]float64{9.9}); pred != 1 {
-		t.Errorf("pred = %d", pred)
+	fit(t, f, x, y)
+	if preds := predict(t, f, [][]float64{{0.05}, {9.9}}); preds[0] != 0 || preds[1] != 1 {
+		t.Errorf("preds = %v, want [0 1]", preds)
 	}
 }
 
@@ -198,14 +198,8 @@ func TestConstantFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	pred, err := f.Predict([]float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pred != 0 {
+	fit(t, f, x, y)
+	if pred := predict(t, f, [][]float64{{1, 1}})[0]; pred != 0 {
 		t.Errorf("majority pred = %d, want 0", pred)
 	}
 }
@@ -218,13 +212,9 @@ func TestMaxDepthBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
+	fit(t, f, x, y)
 	// Depth-1 trees have at most 2 leaves; just verify they predict.
-	if _, err := f.Predict([]float64{0.5}); err != nil {
-		t.Fatal(err)
-	}
+	predict(t, f, [][]float64{{0.5}})
 	maxDepth := 0
 	var walk func(n *node, d int)
 	walk = func(n *node, d int) {
@@ -250,17 +240,18 @@ func TestFitPredictValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Predict([]float64{1}); err == nil {
+	if _, err := f.PredictBatchSparse(csr(t, [][]float64{{1}})); err == nil {
 		t.Error("predict before fit accepted")
 	}
-	if err := f.Fit([][]float64{{1}}, []int{5}); err == nil {
+	if err := f.FitSparse(csr(t, [][]float64{{1}}), []int{5}); err == nil {
 		t.Error("bad label accepted")
 	}
-	x, y := blobs([][]float64{{0}, {5}}, 5, 0.1, 5)
-	if err := f.Fit(x, y); err != nil {
-		t.Fatal(err)
+	if err := f.FitSparse(nil, nil); err == nil {
+		t.Error("empty fit accepted")
 	}
-	if _, err := f.Predict([]float64{1, 2}); err == nil {
+	x, y := blobs([][]float64{{0}, {5}}, 5, 0.1, 5)
+	fit(t, f, x, y)
+	if _, err := f.PredictBatchSparse(csr(t, [][]float64{{1, 2}})); err == nil {
 		t.Error("wrong-dim predict accepted")
 	}
 }

@@ -20,53 +20,33 @@ func padSparse(x [][]float64, dim int) [][]float64 {
 	return out
 }
 
-// TestSparseMatchesDense pins the SparseBatchClassifier contract: voting
-// over scatter/clear scratch rows must reproduce the dense batch vote
-// exactly — tree traversal compares the same feature values either way.
+// TestSparseMatchesDense pins the sparse vote against walking every tree
+// over the dense rows: voting over scatter/clear scratch rows must
+// reproduce the dense tallies exactly, and the prediction their argmax
+// (lowest class index on ties).
 func TestSparseMatchesDense(t *testing.T) {
 	raw, y := blobs([][]float64{{0, 0}, {4, 0}, {0, 4}}, 20, 0.6, 31)
 	x := padSparse(raw, 10)
-	cfg := DefaultConfig(3)
-	cfg.Trees = 25
-	clf, err := New(cfg)
+	clf, err := New(testConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := clf.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
+	fit(t, clf, x, y)
 
-	xm, err := linalg.FromRows(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := linalg.SparseFromDense(xm)
-
-	dense, err := clf.Scores(xm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparse, err := clf.ScoresSparse(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range dense.Data {
-		if dense.Data[i] != sparse.Data[i] {
-			t.Fatalf("vote share %d: dense %v, sparse %v", i, dense.Data[i], sparse.Data[i])
+	shares := voteShares(t, clf, x)
+	preds := predict(t, clf, x)
+	for i, row := range x {
+		votes := make([]float64, clf.cfg.Classes)
+		for _, tree := range clf.trees {
+			votes[classify(tree, row)]++
 		}
-	}
-
-	dPreds, err := clf.PredictBatch(xm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sPreds, err := clf.PredictBatchSparse(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range dPreds {
-		if dPreds[i] != sPreds[i] {
-			t.Fatalf("sample %d: dense class %d, sparse class %d", i, dPreds[i], sPreds[i])
+		for c, v := range votes {
+			if want := v / float64(len(clf.trees)); shares.At(i, c) != want {
+				t.Fatalf("sample %d class %d: sparse share %v, dense %v", i, c, shares.At(i, c), want)
+			}
+		}
+		if preds[i] != linalg.ArgMax(votes) {
+			t.Fatalf("sample %d: sparse class %d, dense %d", i, preds[i], linalg.ArgMax(votes))
 		}
 	}
 }
@@ -87,9 +67,7 @@ func TestSparsePredictValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := clf.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
+	fit(t, clf, x, y)
 	wrong := linalg.SparseFromDense(linalg.NewMatrix(2, 5))
 	if _, err := clf.PredictBatchSparse(wrong); err == nil {
 		t.Error("wrong-dim sparse batch accepted")

@@ -1,6 +1,7 @@
 // Package ml defines the classifier contract shared by the SVM, random
-// forest, MLP, and CNN implementations, plus the label encoding used to map
-// class names onto model outputs.
+// forest, and MLP text classifiers, plus the label encoding used to map
+// class names onto model outputs (the CNN image classifier shares the
+// encoding and the model file format, not the contract).
 package ml
 
 import (
@@ -10,45 +11,18 @@ import (
 	"elevprivacy/internal/ml/linalg"
 )
 
-// Classifier is a multi-class model over dense feature vectors. The batch
-// methods are the serving contract: implementations evaluate whole feature
-// matrices natively (matrix kernels, parallel tree votes) rather than
-// looping over Predict, and must return exactly the labels the per-sample
-// path would.
+// Classifier is a multi-class model over CSR feature batches — the one
+// format of the text attacks' bag-of-words features, which are >95%
+// zeros. Training and scoring touch stored nonzeros only; a model that
+// needs dense rows (the forest) densifies inside its own methods.
 type Classifier interface {
-	// Fit trains on features X (n×d) with integer class labels y in
-	// [0, classes). Implementations may be re-fit to warm-start.
-	Fit(x [][]float64, y []int) error
-	// Predict returns the most likely class for one feature vector.
-	Predict(x []float64) (int, error)
-	// PredictBatch returns the most likely class for every row of x.
-	PredictBatch(x *linalg.Matrix) ([]int, error)
-	// Scores returns one row of per-class scores for every row of x.
-	// The score scale is model-specific (margins, vote fractions, or
-	// probabilities); the row argmax is always the predicted class.
-	Scores(x *linalg.Matrix) (*linalg.Matrix, error)
-}
-
-// SparseBatchClassifier is implemented by classifiers that score CSR
-// feature batches natively — the serving path for bag-of-words features,
-// which are >95% zeros. Implementations must return exactly what the dense
-// batch methods return on ToDense() of the same matrix, bit for bit.
-type SparseBatchClassifier interface {
-	// PredictBatchSparse returns the most likely class for every row of x.
-	PredictBatchSparse(x *linalg.SparseMatrix) ([]int, error)
-	// ScoresSparse returns one row of per-class scores for every row of x.
-	ScoresSparse(x *linalg.SparseMatrix) (*linalg.Matrix, error)
-}
-
-// SparseTrainer is implemented by classifiers that train on CSR feature
-// batches natively — the training-path counterpart of
-// SparseBatchClassifier. Implementations must produce a model bit-identical
-// to Fit on ToDense() of the same matrix: sparse training skips multiplies
-// against zeros, never reorders the surviving accumulation.
-type SparseTrainer interface {
-	// FitSparse trains on a CSR feature matrix with labels y in
-	// [0, classes).
+	// FitSparse trains on X (n×d) with integer class labels y in
+	// [0, classes). Every fit starts fresh: refitting a used model is
+	// bit-identical to fitting a new one.
 	FitSparse(x *linalg.SparseMatrix, y []int) error
+	// PredictBatchSparse returns the most likely class for every row of
+	// x; a single sample is a batch of one.
+	PredictBatchSparse(x *linalg.SparseMatrix) ([]int, error)
 }
 
 // ValidateSparseTrainingSet performs the shape checks sparse training
@@ -75,7 +49,7 @@ func ValidateSparseTrainingSet(x *linalg.SparseMatrix, y []int, classes int) err
 	return nil
 }
 
-// ValidateTrainingSet performs the shape checks every classifier needs:
+// ValidateTrainingSet performs the shape checks of training on dense rows:
 // non-empty X with consistent dimensionality, matching y, labels within
 // [0, classes).
 func ValidateTrainingSet(x [][]float64, y []int, classes int) (dim int, err error) {

@@ -6,46 +6,33 @@ import (
 	"elevprivacy/internal/ml/linalg"
 )
 
-// TestPredictBatchMatchesPredict pins the batch contract: the matrix
-// forward (AffineT → ReLURows → AffineT → SoftmaxRows) must be
-// bit-identical to the per-sample forward on every row.
+// TestPredictBatchMatchesPredict pins the batch contract single-sample
+// prediction relies on: every row scored inside one batch must equal the
+// same row scored as a batch of one, probabilities bit for bit.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	x, y := blobs([][]float64{{0, 0}, {4, 0}, {0, 4}}, 20, 0.6, 7)
 	m, err := New(testConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
+	fit(t, m, x, y)
 
-	xm, err := linalg.FromRows(x)
+	batch, err := m.PredictBatchSparse(csr(t, x))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := m.PredictBatch(xm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scores, err := m.Scores(xm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := probs(t, m, x)
 	for i := range x {
-		want, err := m.Predict(x[i])
+		one, err := m.PredictBatchSparse(csr(t, x[i:i+1]))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if batch[i] != want {
-			t.Errorf("sample %d: batch %d, serial %d", i, batch[i], want)
+		if batch[i] != one[0] {
+			t.Errorf("sample %d: batch %d, alone %d", i, batch[i], one[0])
 		}
-		probs, err := m.Probabilities(x[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, p := range probs {
-			if scores.At(i, k) != p {
-				t.Errorf("sample %d prob %d: batch %g, serial %g", i, k, scores.At(i, k), p)
+		for k, p := range probs(t, m, x[i:i+1]).Row(0) {
+			if all.At(i, k) != p {
+				t.Errorf("sample %d prob %d: batch %g, alone %g", i, k, all.At(i, k), p)
 			}
 		}
 	}
@@ -56,14 +43,12 @@ func TestPredictBatchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.PredictBatch(linalg.NewMatrix(1, 1)); err == nil {
-		t.Error("batch predict before fit accepted")
+	if _, err := m.ScoresSparse(linalg.SparseFromDense(linalg.NewMatrix(1, 1))); err == nil {
+		t.Error("scoring before fit accepted")
 	}
 	x, y := blobs([][]float64{{0}, {3}}, 6, 0.3, 8)
-	if err := m.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.PredictBatch(linalg.NewMatrix(2, 4)); err == nil {
-		t.Error("wrong-dim batch accepted")
+	fit(t, m, x, y)
+	if _, err := m.ScoresSparse(linalg.SparseFromDense(linalg.NewMatrix(2, 4))); err == nil {
+		t.Error("wrong-dim scoring accepted")
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"elevprivacy/internal/ml/linalg"
 )
 
-func benchFitted(b *testing.B, n int) (*MLP, [][]float64, *linalg.Matrix) {
+func benchFitted(b *testing.B, n int) (*MLP, [][]float64, *linalg.SparseMatrix) {
 	b.Helper()
 	centers := [][]float64{make([]float64, 128), make([]float64, 128), make([]float64, 128)}
 	for c, center := range centers {
@@ -22,14 +22,8 @@ func benchFitted(b *testing.B, n int) (*MLP, [][]float64, *linalg.Matrix) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := m.Fit(x, y); err != nil {
-		b.Fatal(err)
-	}
-	xm, err := linalg.FromRows(x)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m, x, xm
+	fit(b, m, x, y)
+	return m, x, csr(b, x)
 }
 
 // tableIISparse builds a CSR training set at the paper's Table II scale:
@@ -74,11 +68,15 @@ func BenchmarkFitSparse32TableII(b *testing.B) { benchFitSparse(b, true) }
 
 func BenchmarkPredictLoop(b *testing.B) {
 	m, x, _ := benchFitted(b, 240)
+	rows := make([]*linalg.SparseMatrix, len(x))
+	for j := range x {
+		rows[j] = csr(b, x[j:j+1])
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range x {
-			if _, err := m.Predict(x[j]); err != nil {
+		for _, row := range rows {
+			if _, err := m.PredictBatchSparse(row); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -86,11 +84,11 @@ func BenchmarkPredictLoop(b *testing.B) {
 }
 
 func BenchmarkPredictBatch(b *testing.B) {
-	m, _, xm := benchFitted(b, 240)
+	m, _, sp := benchFitted(b, 240)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.PredictBatch(xm); err != nil {
+		if _, err := m.PredictBatchSparse(sp); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -67,11 +67,7 @@ type MLP struct {
 	w1, b1, w2, b2 int
 }
 
-var (
-	_ ml.Classifier            = (*MLP)(nil)
-	_ ml.SparseBatchClassifier = (*MLP)(nil)
-	_ ml.SparseTrainer         = (*MLP)(nil)
-)
+var _ ml.Classifier = (*MLP)(nil)
 
 // New creates an untrained MLP.
 func New(cfg Config) (*MLP, error) {
@@ -126,37 +122,31 @@ func (m *MLP) init(d int, rng *rand.Rand) error {
 	return nil
 }
 
-// Fit trains the network with minibatch Adam. The whole minibatch runs
-// through the batched linalg kernels (train.go): each gradient cell still
-// accumulates its per-sample terms in ascending sample order, so the
-// trained parameters are bit-identical to the retired per-sample loop.
-//
-// Fit always reinitializes: parameters are redrawn from cfg.Seed and the
-// Adam moments reset, so refitting a used model is bit-identical to
-// fitting a fresh one. (An earlier version skipped init when the input
-// dimension matched, silently resuming from stale weights and stale
-// optimizer state.)
+// Fit trains on dense feature rows: it validates them, converts them to
+// CSR, and calls FitSparse, so the trained model is the one FitSparse
+// produces on the same logical matrix.
 func (m *MLP) Fit(x [][]float64, y []int) error {
-	dim, err := ml.ValidateTrainingSet(x, y, m.cfg.Classes)
+	if _, err := ml.ValidateTrainingSet(x, y, m.cfg.Classes); err != nil {
+		return fmt.Errorf("mlp: %w", err)
+	}
+	xm, err := linalg.FromRows(x)
 	if err != nil {
 		return fmt.Errorf("mlp: %w", err)
 	}
-	rng := rand.New(rand.NewSource(m.cfg.Seed))
-	if err := m.init(dim, rng); err != nil {
-		return err
-	}
-	if m.cfg.Float32 {
-		return m.fit32(x, nil, y, rng)
-	}
-	return m.fit64(x, nil, y, rng)
+	return m.FitSparse(linalg.SparseFromDense(xm), y)
 }
 
-// FitSparse trains on a CSR feature batch without densifying it: the
-// first-layer forward uses the sparse affine kernel and the first-layer
-// weight gradient accumulates only over stored nonzeros. The model is
-// bit-identical to Fit on ToDense() of the same matrix — the skipped
-// terms are exact-zero products, which the dense accumulation absorbs as
-// identity adds.
+// FitSparse trains the network with minibatch Adam on a CSR feature batch.
+// The whole minibatch runs through the batched linalg kernels (train.go):
+// the first-layer forward uses the sparse affine kernel and the
+// first-layer weight gradient accumulates only over stored nonzeros, each
+// gradient cell adding its per-sample terms in ascending sample order.
+//
+// FitSparse always reinitializes: parameters are redrawn from cfg.Seed and
+// the Adam moments reset, so refitting a used model is bit-identical to
+// fitting a fresh one. (An earlier version skipped init when the input
+// dimension matched, silently resuming from stale weights and stale
+// optimizer state.)
 func (m *MLP) FitSparse(x *linalg.SparseMatrix, y []int) error {
 	if err := ml.ValidateSparseTrainingSet(x, y, m.cfg.Classes); err != nil {
 		return fmt.Errorf("mlp: %w", err)
@@ -166,9 +156,9 @@ func (m *MLP) FitSparse(x *linalg.SparseMatrix, y []int) error {
 		return err
 	}
 	if m.cfg.Float32 {
-		return m.fit32(nil, x, y, rng)
+		return m.fit32(x, y, rng)
 	}
-	return m.fit64(nil, x, y, rng)
+	return m.fit64(x, y, rng)
 }
 
 // Training telemetry: per-epoch wall time and the Adam update's share of it
@@ -178,61 +168,6 @@ var (
 	epochSeconds    = obs.GetHistogram(`elevpriv_ml_epoch_seconds{model="mlp"}`, nil)
 	adamStepSeconds = obs.GetHistogram(`elevpriv_ml_adam_step_seconds{model="mlp"}`, nil)
 )
-
-// scratch holds per-forward intermediate buffers.
-type scratch struct {
-	hidden []float64 // post-ReLU activations
-	logits []float64
-	probs  []float64
-}
-
-func (m *MLP) newScratch() *scratch {
-	return &scratch{
-		hidden: make([]float64, m.cfg.Hidden),
-		logits: make([]float64, m.cfg.Classes),
-		probs:  make([]float64, m.cfg.Classes),
-	}
-}
-
-// forward computes hidden activations and class probabilities.
-func (m *MLP) forward(x []float64, s *scratch) {
-	h, d, k := m.cfg.Hidden, m.dim, m.cfg.Classes
-	for j := 0; j < h; j++ {
-		z := m.params[m.b1+j] + linalg.Dot(m.params[m.w1+j*d:m.w1+(j+1)*d], x)
-		if z < 0 {
-			z = 0
-		}
-		s.hidden[j] = z
-	}
-	for c := 0; c < k; c++ {
-		s.logits[c] = m.params[m.b2+c] + linalg.Dot(m.params[m.w2+c*h:m.w2+(c+1)*h], s.hidden)
-	}
-	linalg.Softmax(s.logits, s.probs)
-}
-
-// Predict returns the most probable class.
-func (m *MLP) Predict(x []float64) (int, error) {
-	probs, err := m.Probabilities(x)
-	if err != nil {
-		return 0, err
-	}
-	return linalg.ArgMax(probs), nil
-}
-
-// Probabilities returns the softmax class distribution.
-func (m *MLP) Probabilities(x []float64) ([]float64, error) {
-	if m.params == nil {
-		return nil, fmt.Errorf("mlp: model not fitted")
-	}
-	if len(x) != m.dim {
-		return nil, fmt.Errorf("mlp: feature dim %d, model expects %d", len(x), m.dim)
-	}
-	s := m.newScratch()
-	m.forward(x, s)
-	out := make([]float64, len(s.probs))
-	copy(out, s.probs)
-	return out, nil
-}
 
 // weight1 and weight2 view the flat parameter vector as the two layer
 // matrices (shared storage, no copies).
@@ -244,39 +179,12 @@ func (m *MLP) weight2() *linalg.Matrix {
 	return &linalg.Matrix{Rows: m.cfg.Classes, Cols: m.cfg.Hidden, Data: m.params[m.w2:m.b2]}
 }
 
-// Scores runs the whole feature batch through the network as two affine
-// matrix kernels — H = ReLU(X·W1ᵀ + b1), P = softmax(H·W2ᵀ + b2) — and
-// returns the n×Classes probability matrix. Row i equals Probabilities of
-// row i bit for bit: both paths compute bias + Dot(w, x) per unit.
-func (m *MLP) Scores(x *linalg.Matrix) (*linalg.Matrix, error) {
-	if m.params == nil {
-		return nil, fmt.Errorf("mlp: model not fitted")
-	}
-	if x.Cols != m.dim {
-		return nil, fmt.Errorf("mlp: feature dim %d, model expects %d", x.Cols, m.dim)
-	}
-	hidden := linalg.AffineT(x, m.weight1(), m.params[m.b1:m.w2])
-	linalg.ReLURows(hidden)
-	logits := linalg.AffineT(hidden, m.weight2(), m.params[m.b2:])
-	linalg.SoftmaxRows(logits)
-	return logits, nil
-}
-
-// PredictBatch returns the most probable class for every row of x via the
-// batched forward pass.
-func (m *MLP) PredictBatch(x *linalg.Matrix) ([]int, error) {
-	probs, err := m.Scores(x)
-	if err != nil {
-		return nil, err
-	}
-	return linalg.ArgMaxRows(probs), nil
-}
-
-// ScoresSparse runs a CSR feature batch through the network. Only the
-// first layer touches the input, so it alone switches to the sparse
-// kernel — H = ReLU(X_csr·W1ᵀ + b1) — and the dense hidden activations
-// flow through the unchanged second layer. Bit-identical to Scores on the
-// dense form of x.
+// ScoresSparse runs a CSR feature batch through the network as two affine
+// kernels — H = ReLU(X·W1ᵀ + b1), P = softmax(H·W2ᵀ + b2) — and returns the
+// n×Classes probability matrix. Only the first layer touches the input, so
+// it alone uses the sparse kernel; the dense hidden activations flow
+// through the second. Every row depends only on its own sample, so a batch
+// of one scores exactly like the same row inside a larger batch.
 func (m *MLP) ScoresSparse(x *linalg.SparseMatrix) (*linalg.Matrix, error) {
 	if m.params == nil {
 		return nil, fmt.Errorf("mlp: model not fitted")

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"elevprivacy/internal/ml/linalg"
 )
 
 func blobs(centers [][]float64, perClass int, spread float64, seed int64) (x [][]float64, y []int) {
@@ -30,6 +32,60 @@ func testConfig(classes int) Config {
 	return cfg
 }
 
+// csr converts dense rows to the CSR batch the network consumes.
+func csr(t testing.TB, x [][]float64) *linalg.SparseMatrix {
+	t.Helper()
+	m, err := linalg.FromRows(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return linalg.SparseFromDense(m)
+}
+
+// fit trains m on dense rows through FitSparse.
+func fit(t testing.TB, m *MLP, x [][]float64, y []int) {
+	t.Helper()
+	if err := m.FitSparse(csr(t, x), y); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// probs returns the class distribution of every row of x.
+func probs(t testing.TB, m *MLP, x [][]float64) *linalg.Matrix {
+	t.Helper()
+	p, err := m.ScoresSparse(csr(t, x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func accuracy(t *testing.T, m *MLP, x [][]float64, y []int) float64 {
+	t.Helper()
+	preds, err := m.PredictBatchSparse(csr(t, x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var correct int
+	for i, p := range preds {
+		if p == y[i] {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(x))
+}
+
+// assertSameProbs requires two networks to score x bit-identically.
+func assertSameProbs(t *testing.T, want, got *MLP, x [][]float64) {
+	t.Helper()
+	w, g := probs(t, want, x), probs(t, got, x)
+	for i := range w.Data {
+		if w.Data[i] != g.Data[i] {
+			t.Fatalf("probability %d: %v vs %v", i, g.Data[i], w.Data[i])
+		}
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	bad := []Config{
 		{Classes: 1, Hidden: 10, Epochs: 1, BatchSize: 1, LearningRate: 0.1},
@@ -51,20 +107,8 @@ func TestSeparableBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	var correct int
-	for i := range x {
-		pred, err := m.Predict(x[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pred == y[i] {
-			correct++
-		}
-	}
-	if acc := float64(correct) / float64(len(x)); acc < 0.95 {
+	fit(t, m, x, y)
+	if acc := accuracy(t, m, x, y); acc < 0.95 {
 		t.Errorf("accuracy = %f", acc)
 	}
 }
@@ -89,17 +133,8 @@ func TestNonLinearXOR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	var correct int
-	for i := range x {
-		pred, _ := m.Predict(x[i])
-		if pred == y[i] {
-			correct++
-		}
-	}
-	if acc := float64(correct) / float64(len(x)); acc < 0.9 {
+	fit(t, m, x, y)
+	if acc := accuracy(t, m, x, y); acc < 0.9 {
 		t.Errorf("XOR accuracy = %f (MLP must beat linear models here)", acc)
 	}
 }
@@ -110,48 +145,36 @@ func TestProbabilitiesSumToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	probs, err := m.Probabilities([]float64{1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, p := range probs {
-		if p < 0 || p > 1 {
-			t.Errorf("probability %f out of range", p)
+	fit(t, m, x, y)
+	p := probs(t, m, [][]float64{{1.5}, {-2}, {7}})
+	for i := 0; i < p.Rows; i++ {
+		var sum float64
+		for _, v := range p.Row(i) {
+			if v < 0 || v > 1 {
+				t.Errorf("probability %f out of range", v)
+			}
+			sum += v
 		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("probabilities sum to %f", sum)
+		if math.Abs(sum-1) > 1e-9 {
+			t.Errorf("row %d probabilities sum to %f", i, sum)
+		}
 	}
 }
 
 func TestDeterministicTraining(t *testing.T) {
 	x, y := blobs([][]float64{{0, 0}, {3, 3}}, 20, 0.8, 4)
-	run := func() []float64 {
+	run := func() *MLP {
 		m, err := New(testConfig(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Fit(x, y); err != nil {
-			t.Fatal(err)
-		}
-		probs, _ := m.Probabilities([]float64{1.5, 1.5})
-		return probs
+		fit(t, m, x, y)
+		return m
 	}
-	a := run()
-	b := run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same-seed training diverges")
-		}
-	}
+	assertSameProbs(t, run(), run(), [][]float64{{1.5, 1.5}})
 }
 
-// TestRefitMatchesFresh pins the Fit contract: refitting a used model is
+// TestRefitMatchesFresh pins the fit contract: refitting a used model is
 // bit-identical to fitting a fresh one. A previous version silently
 // warm-started when the input dimension matched — stale weights and stale
 // Adam moments/step count leaked into the second fit.
@@ -161,31 +184,17 @@ func TestRefitMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := refit.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if err := refit.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
+	fit(t, refit, x, y)
+	fit(t, refit, x, y)
 	fresh, err := New(testConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		want, _ := fresh.Probabilities(x[i])
-		got, _ := refit.Probabilities(x[i])
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("sample %d class %d: refit %g, fresh %g", i, k, got[k], want[k])
-			}
-		}
-	}
+	fit(t, fresh, x, y)
+	assertSameProbs(t, fresh, refit, x)
 }
 
-// TestRefitChangesDimension checks that a second Fit with a different
+// TestRefitChangesDimension checks that a second fit with a different
 // feature width reshapes the network instead of failing or mixing stale
 // parameters.
 func TestRefitChangesDimension(t *testing.T) {
@@ -194,17 +203,13 @@ func TestRefitChangesDimension(t *testing.T) {
 		t.Fatal(err)
 	}
 	x1, y1 := blobs([][]float64{{0}, {3}}, 10, 0.3, 5)
-	if err := m.Fit(x1, y1); err != nil {
-		t.Fatal(err)
-	}
+	fit(t, m, x1, y1)
 	x2, y2 := blobs([][]float64{{0, 0}, {3, 3}}, 10, 0.3, 6)
-	if err := m.Fit(x2, y2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Predict([]float64{1, 1}); err != nil {
+	fit(t, m, x2, y2)
+	if _, err := m.PredictBatchSparse(csr(t, [][]float64{{1, 1}})); err != nil {
 		t.Fatalf("predict after refit with new width: %v", err)
 	}
-	if _, err := m.Predict([]float64{1}); err == nil {
+	if _, err := m.PredictBatchSparse(csr(t, [][]float64{{1}})); err == nil {
 		t.Error("old-width predict still accepted after refit")
 	}
 }
@@ -227,25 +232,16 @@ func TestDeterministicTrainingAcrossParallelism(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.Hidden = 64
 	cfg.Epochs = 6
-	run := func(procs int) []float64 {
+	run := func(procs int) *MLP {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Fit(x, y); err != nil {
-			t.Fatal(err)
-		}
-		probs, _ := m.Probabilities(x[0])
-		return probs
+		fit(t, m, x, y)
+		return m
 	}
-	serial := run(1)
-	parallel := run(4)
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("class %d: GOMAXPROCS=1 %g, GOMAXPROCS=4 %g", i, serial[i], parallel[i])
-		}
-	}
+	assertSameProbs(t, run(1), run(4), x[:1])
 }
 
 func TestFitPredictValidation(t *testing.T) {
@@ -253,17 +249,21 @@ func TestFitPredictValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Predict([]float64{1}); err == nil {
+	if _, err := m.PredictBatchSparse(csr(t, [][]float64{{1}})); err == nil {
 		t.Error("predict before fit accepted")
 	}
 	if err := m.Fit([][]float64{{1}, {2}}, []int{0, 5}); err == nil {
 		t.Error("bad label accepted")
 	}
-	x, y := blobs([][]float64{{0}, {3}}, 5, 0.3, 6)
-	if err := m.Fit(x, y); err != nil {
-		t.Fatal(err)
+	if err := m.Fit([][]float64{{1}, {2, 3}}, []int{0, 1}); err == nil {
+		t.Error("ragged rows accepted")
 	}
-	if _, err := m.Predict([]float64{1, 2}); err == nil {
+	if err := m.FitSparse(csr(t, [][]float64{{1}, {2}}), []int{0}); err == nil {
+		t.Error("label count mismatch accepted")
+	}
+	x, y := blobs([][]float64{{0}, {3}}, 5, 0.3, 6)
+	fit(t, m, x, y)
+	if _, err := m.PredictBatchSparse(csr(t, [][]float64{{1, 2}})); err == nil {
 		t.Error("wrong-dim predict accepted")
 	}
 }
@@ -274,9 +274,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
+	fit(t, m, x, y)
 
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
@@ -286,18 +284,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range x {
-		want, _ := m.Probabilities(x[i])
-		got, err := back.Probabilities(x[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range want {
-			if want[k] != got[k] {
-				t.Fatalf("sample %d: %v vs %v", i, got, want)
-			}
-		}
-	}
+	assertSameProbs(t, m, back, x)
 }
 
 func TestSaveUnfittedRejected(t *testing.T) {

@@ -20,9 +20,44 @@ func padSparse(x [][]float64, dim int) [][]float64 {
 	return out
 }
 
-// TestSparseMatchesDense pins the SparseBatchClassifier contract: the
-// sparse first layer must leave every downstream activation bit-identical
-// to the dense forward pass.
+// storeAll converts dense rows to a CSR matrix that stores every element,
+// zeros included: the dense layout, walked by the sparse kernels.
+func storeAll(x [][]float64) *linalg.SparseMatrix {
+	s := linalg.NewSparseMatrix(len(x), len(x[0]), len(x)*len(x[0]))
+	for _, row := range x {
+		for j, v := range row {
+			s.ColIdx = append(s.ColIdx, int32(j))
+			s.Val = append(s.Val, v)
+		}
+		s.AppendRow()
+	}
+	return s
+}
+
+// forward is the dense per-sample reference the batch kernels are checked
+// against: h = ReLU(W1·x + b1), p = softmax(W2·h + b2), one unit at a time.
+func forward(m *MLP, x []float64) []float64 {
+	h, d, k := m.cfg.Hidden, m.dim, m.cfg.Classes
+	hidden := make([]float64, h)
+	for j := range hidden {
+		z := m.params[m.b1+j] + linalg.Dot(m.params[m.w1+j*d:m.w1+(j+1)*d], x)
+		if z < 0 {
+			z = 0
+		}
+		hidden[j] = z
+	}
+	logits := make([]float64, k)
+	for c := range logits {
+		logits[c] = m.params[m.b2+c] + linalg.Dot(m.params[m.w2+c*h:m.w2+(c+1)*h], hidden)
+	}
+	probs := make([]float64, k)
+	linalg.Softmax(logits, probs)
+	return probs
+}
+
+// TestSparseMatchesDense pins the batch forward pass against the dense
+// per-sample reference: the sparse first layer must leave every
+// probability bit-identical, and PredictBatchSparse must be its argmax.
 func TestSparseMatchesDense(t *testing.T) {
 	raw, y := blobs([][]float64{{0, 0}, {4, 0}, {0, 4}}, 20, 0.5, 21)
 	x := padSparse(raw, 10)
@@ -32,50 +67,31 @@ func TestSparseMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := clf.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
+	fit(t, clf, x, y)
 
-	xm, err := linalg.FromRows(x)
+	sparse := probs(t, clf, x)
+	preds, err := clf.PredictBatchSparse(csr(t, x))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := linalg.SparseFromDense(xm)
-
-	dense, err := clf.Scores(xm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparse, err := clf.ScoresSparse(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range dense.Data {
-		if dense.Data[i] != sparse.Data[i] {
-			t.Fatalf("probability %d: dense %v, sparse %v", i, dense.Data[i], sparse.Data[i])
+	for i, row := range x {
+		want := forward(clf, row)
+		for c, p := range want {
+			if got := sparse.At(i, c); got != p {
+				t.Fatalf("sample %d class %d: sparse %v, dense %v", i, c, got, p)
+			}
 		}
-	}
-
-	dPreds, err := clf.PredictBatch(xm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sPreds, err := clf.PredictBatchSparse(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range dPreds {
-		if dPreds[i] != sPreds[i] {
-			t.Fatalf("sample %d: dense class %d, sparse class %d", i, dPreds[i], sPreds[i])
+		if preds[i] != linalg.ArgMax(want) {
+			t.Fatalf("sample %d: predicted %d, dense argmax %d", i, preds[i], linalg.ArgMax(want))
 		}
 	}
 }
 
-// TestFitSparseMatchesFit pins the sparse training contract: FitSparse on
-// a CSR batch must produce a model bit-identical to Fit on its dense form.
-// The sparse first-layer kernels skip only exact-zero terms, and every
-// gradient cell accumulates its per-sample contributions in the same
-// ascending order as the dense path.
+// TestFitSparseMatchesFit pins the training entry points against each
+// other: Fit on dense rows, FitSparse on their CSR form, and FitSparse on
+// the same batch with every zero stored (the dense layout) must train
+// bit-identical networks — the sparse kernels skip only exact-zero terms,
+// and every gradient cell accumulates in ascending sample order.
 func TestFitSparseMatchesFit(t *testing.T) {
 	raw, y := blobs([][]float64{{0, 0}, {4, 0}, {0, 4}}, 20, 0.5, 23)
 	x := padSparse(raw, 10)
@@ -86,33 +102,25 @@ func TestFitSparseMatchesFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dense.Fit(x, y); err != nil {
+	if err := dense.FitSparse(storeAll(x), y); err != nil {
 		t.Fatal(err)
 	}
-
-	xm, err := linalg.FromRows(x)
+	rows, err := New(cfg)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rows.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
 	sparse, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sparse.FitSparse(linalg.SparseFromDense(xm), y); err != nil {
-		t.Fatal(err)
-	}
+	fit(t, sparse, x, y)
 
-	want, err := dense.Scores(xm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sparse.Scores(xm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Data {
-		if want.Data[i] != got.Data[i] {
-			t.Fatalf("probability %d: dense-trained %v, sparse-trained %v", i, want.Data[i], got.Data[i])
+	for i, want := range dense.params {
+		if rows.params[i] != want || sparse.params[i] != want {
+			t.Fatalf("parameter %d: dense layout %v, Fit %v, FitSparse %v", i, want, rows.params[i], sparse.params[i])
 		}
 	}
 }
@@ -133,9 +141,7 @@ func TestSparsePredictValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := clf.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
+	fit(t, clf, x, y)
 	wrong := linalg.SparseFromDense(linalg.NewMatrix(2, 5))
 	if _, err := clf.PredictBatchSparse(wrong); err == nil {
 		t.Error("wrong-dim sparse batch accepted")

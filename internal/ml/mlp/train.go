@@ -11,9 +11,10 @@ import (
 // at a time, re-reading both weight matrices from memory for every sample;
 // these loops run the whole minibatch through fused matrix kernels, so the
 // weights stream through the cache once per batch instead of once per
-// sample. The float64 path is bit-identical to the per-sample loop: every
-// gradient cell is a distinct accumulator, and the kernels add its
-// per-sample terms in ascending sample order — the order the old loop
+// sample. The input layer reads the CSR minibatch directly and never sees
+// a zero feature. The float64 path is bit-identical to the per-sample
+// loop: every gradient cell is a distinct accumulator, and the kernels add
+// its per-sample terms in ascending sample order — the order the old loop
 // used — so the sums round identically. The float32 path trades that
 // parity for another halving of memory traffic (see Config.Float32).
 
@@ -27,10 +28,10 @@ func trainView32(m *linalg.Matrix32, rows int) *linalg.Matrix32 {
 	return &linalg.Matrix32{Rows: rows, Cols: m.Cols, Data: m.Data[:rows*m.Cols]}
 }
 
-// fit64 is the float64 trainer. Exactly one of x (dense rows) and sp (CSR)
-// is non-nil; rng arrives having consumed the He-init draws, matching the
-// old trainer's stream position, so shuffles are reproduced draw for draw.
-func (m *MLP) fit64(x [][]float64, sp *linalg.SparseMatrix, y []int, rng *rand.Rand) error {
+// fit64 is the float64 trainer. rng arrives having consumed the He-init
+// draws, matching the old trainer's stream position, so shuffles are
+// reproduced draw for draw.
+func (m *MLP) fit64(sp *linalg.SparseMatrix, y []int, rng *rand.Rand) error {
 	n := len(y)
 	h, d, k := m.cfg.Hidden, m.dim, m.cfg.Classes
 	bs := m.cfg.BatchSize
@@ -46,7 +47,7 @@ func (m *MLP) fit64(x [][]float64, sp *linalg.SparseMatrix, y []int, rng *rand.R
 	// One flat gradient vector, viewed as the four parameter regions. The
 	// dense kernels overwrite their region every batch; the sparse W1
 	// accumulation instead relies on its region being zero at batch start
-	// and re-clears exactly the touched cells after the optimizer step.
+	// and re-clears the touched rows after the optimizer step.
 	grads := make([]float64, len(m.params))
 	gW1 := &linalg.Matrix{Rows: h, Cols: d, Data: grads[m.w1:m.b1]}
 	gB1 := grads[m.b1:m.w2]
@@ -54,13 +55,7 @@ func (m *MLP) fit64(x [][]float64, sp *linalg.SparseMatrix, y []int, rng *rand.R
 	gB2 := grads[m.b2:]
 
 	// Per-fit batch scratch, reused across every minibatch.
-	var xb *linalg.Matrix
-	var spb *linalg.SparseMatrix
-	if sp != nil {
-		spb = &linalg.SparseMatrix{}
-	} else {
-		xb = linalg.NewMatrix(bs, d)
-	}
+	spb := &linalg.SparseMatrix{}
 	hid := linalg.NewMatrix(bs, h)
 	probs := linalg.NewMatrix(bs, k)
 	dh := linalg.NewMatrix(bs, h)
@@ -84,16 +79,8 @@ func (m *MLP) fit64(x [][]float64, sp *linalg.SparseMatrix, y []int, rng *rand.R
 			dv := trainView(dh, bn)
 
 			// Forward: H = ReLU(X·W1ᵀ + b1), P = softmax(H·W2ᵀ + b2).
-			if sp != nil {
-				sp.GatherRowsInto(batch, spb)
-				linalg.SparseAffineTInto(spb, w1, bias1, hv)
-			} else {
-				xv := trainView(xb, bn)
-				for i, idx := range batch {
-					copy(xv.Row(i), x[idx])
-				}
-				linalg.AffineTInto(xv, w1, bias1, hv)
-			}
+			sp.GatherRowsInto(batch, spb)
+			linalg.SparseAffineTInto(spb, w1, bias1, hv)
 			linalg.ReLURows(hv)
 			linalg.AffineTInto(hv, w2, bias2, pv)
 			linalg.SoftmaxRows(pv)
@@ -107,20 +94,14 @@ func (m *MLP) fit64(x [][]float64, sp *linalg.SparseMatrix, y []int, rng *rand.R
 			linalg.MatMulInto(pv, w2, dv)
 			linalg.ZeroWhereNonPos(dv, hv)
 			linalg.ColSumsInto(dv, gB1)
-			if sp != nil {
-				sparseGradW1(spb, dv, gW1)
-			} else {
-				linalg.MatTMulInto(dv, trainView(xb, bn), gW1)
-			}
+			sparseGradW1(spb, dv, gW1)
 
 			// Fused scale + update (identical numbers to Scale then Step).
 			stepStart := time.Now()
 			m.adam.StepSum(m.params, [][]float64{grads}, 1/float64(bn))
 			adamStepSeconds.ObserveSince(stepStart)
 
-			if sp != nil {
-				clearSparseGradW1(dv, gW1)
-			}
+			clearSparseGradW1(dv, gW1)
 		}
 		epochSeconds.ObserveSince(epochStart)
 	}
@@ -174,7 +155,7 @@ func clearSparseGradW1(dh *linalg.Matrix, gW1 *linalg.Matrix) {
 // from the masters after every step so narrowing error never compounds.
 // Batch schedule, shuffle stream, and He init are identical to fit64 —
 // only the arithmetic narrows.
-func (m *MLP) fit32(x [][]float64, sp *linalg.SparseMatrix, y []int, rng *rand.Rand) error {
+func (m *MLP) fit32(sp *linalg.SparseMatrix, y []int, rng *rand.Rand) error {
 	n := len(y)
 	h, d, k := m.cfg.Hidden, m.dim, m.cfg.Classes
 	bs := m.cfg.BatchSize
@@ -200,13 +181,7 @@ func (m *MLP) fit32(x [][]float64, sp *linalg.SparseMatrix, y []int, rng *rand.R
 	gW2s := &linalg.Matrix32{Rows: k, Cols: h, Data: grads32[m.w2:m.b2]}
 	gB2s := grads32[m.b2:]
 
-	var xb *linalg.Matrix32
-	var spb *linalg.SparseMatrix
-	if sp != nil {
-		spb = &linalg.SparseMatrix{}
-	} else {
-		xb = linalg.NewMatrix32(bs, d)
-	}
+	spb := &linalg.SparseMatrix{}
 	hid := linalg.NewMatrix32(bs, h)
 	probs := linalg.NewMatrix32(bs, k)
 	dh := linalg.NewMatrix32(bs, h)
@@ -226,19 +201,8 @@ func (m *MLP) fit32(x [][]float64, sp *linalg.SparseMatrix, y []int, rng *rand.R
 			pv := trainView32(probs, bn)
 			dv := trainView32(dh, bn)
 
-			if sp != nil {
-				sp.GatherRowsInto(batch, spb)
-				linalg.SparseAffineT32Into(spb, w1s, bias1s, hv)
-			} else {
-				xv := trainView32(xb, bn)
-				for i, idx := range batch {
-					row := xv.Row(i)
-					for j, v := range x[idx] {
-						row[j] = float32(v)
-					}
-				}
-				linalg.AffineT32Into(xv, w1s, bias1s, hv)
-			}
+			sp.GatherRowsInto(batch, spb)
+			linalg.SparseAffineT32Into(spb, w1s, bias1s, hv)
 			linalg.ReLURows32(hv)
 			linalg.AffineT32Into(hv, w2s, bias2s, pv)
 			linalg.SoftmaxRows32(pv)
@@ -251,11 +215,7 @@ func (m *MLP) fit32(x [][]float64, sp *linalg.SparseMatrix, y []int, rng *rand.R
 			linalg.MatMul32Into(pv, w2s, dv)
 			linalg.ZeroWhereNonPos32(dv, hv)
 			linalg.ColSums32Into(dv, gB1s)
-			if sp != nil {
-				sparseGradW1f32(spb, dv, gW1s)
-			} else {
-				linalg.MatTMul32Into(dv, trainView32(xb, bn), gW1s)
-			}
+			sparseGradW1f32(spb, dv, gW1s)
 
 			// The shadow refresh rides inside the step: every updated
 			// float64 master is re-narrowed into params32 in the same pass,
@@ -264,9 +224,7 @@ func (m *MLP) fit32(x [][]float64, sp *linalg.SparseMatrix, y []int, rng *rand.R
 			m.adam32.StepSum(m.params, params32, [][]float32{grads32}, 1/float32(bn))
 			adamStepSeconds.ObserveSince(stepStart)
 
-			if sp != nil {
-				clearSparseGradW1f32(dv, gW1s)
-			}
+			clearSparseGradW1f32(dv, gW1s)
 		}
 		epochSeconds.ObserveSince(epochStart)
 	}

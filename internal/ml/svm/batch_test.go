@@ -6,46 +6,33 @@ import (
 	"elevprivacy/internal/ml/linalg"
 )
 
-// TestPredictBatchMatchesPredict pins the batch contract: one PredictBatch
-// call over the matrix must agree with per-sample Predict on every row, and
-// each Scores row must be bit-identical to DecisionValues.
+// TestPredictBatchMatchesPredict pins the batch contract single-sample
+// prediction relies on: every row scored inside one batch must equal the
+// same row scored as a batch of one, scores bit for bit.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	x, y := gaussianBlobs([][]float64{{0, 0}, {6, 0}, {0, 6}}, 25, 0.8, 7)
 	clf, err := New(DefaultConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := clf.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
+	fit(t, clf, x, y)
 
-	xm, err := linalg.FromRows(x)
+	batch, err := clf.PredictBatchSparse(csr(t, x))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := clf.PredictBatch(xm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scores, err := clf.Scores(xm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := scores(t, clf, x)
 	for i := range x {
-		want, err := clf.Predict(x[i])
+		one, err := clf.PredictBatchSparse(csr(t, x[i:i+1]))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if batch[i] != want {
-			t.Errorf("sample %d: batch %d, serial %d", i, batch[i], want)
+		if batch[i] != one[0] {
+			t.Errorf("sample %d: batch %d, alone %d", i, batch[i], one[0])
 		}
-		dv, err := clf.DecisionValues(x[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, v := range dv {
-			if scores.At(i, k) != v {
-				t.Errorf("sample %d score %d: batch %g, serial %g", i, k, scores.At(i, k), v)
+		for k, v := range scores(t, clf, x[i:i+1]).Row(0) {
+			if all.At(i, k) != v {
+				t.Errorf("sample %d score %d: batch %g, alone %g", i, k, all.At(i, k), v)
 			}
 		}
 	}
@@ -56,14 +43,12 @@ func TestPredictBatchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clf.PredictBatch(linalg.NewMatrix(1, 1)); err == nil {
-		t.Error("batch predict before fit accepted")
+	if _, err := clf.ScoresSparse(linalg.SparseFromDense(linalg.NewMatrix(1, 1))); err == nil {
+		t.Error("scoring before fit accepted")
 	}
 	x, y := gaussianBlobs([][]float64{{0, 0}, {5, 5}}, 8, 0.3, 8)
-	if err := clf.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := clf.PredictBatch(linalg.NewMatrix(2, 5)); err == nil {
-		t.Error("wrong-dim batch accepted")
+	fit(t, clf, x, y)
+	if _, err := clf.ScoresSparse(linalg.SparseFromDense(linalg.NewMatrix(2, 5))); err == nil {
+		t.Error("wrong-dim scoring accepted")
 	}
 }

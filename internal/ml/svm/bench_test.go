@@ -8,7 +8,7 @@ import (
 
 // benchFitted trains a classifier on a BoW-sized problem (512 features,
 // the text-attack vocabulary size) for the inference benchmarks.
-func benchFitted(b *testing.B, n int) (*SVM, [][]float64, *linalg.Matrix) {
+func benchFitted(b *testing.B, n int) (*SVM, [][]float64, *linalg.SparseMatrix) {
 	b.Helper()
 	centers := make([][]float64, 4)
 	for c := range centers {
@@ -23,23 +23,21 @@ func benchFitted(b *testing.B, n int) (*SVM, [][]float64, *linalg.Matrix) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := clf.Fit(x, y); err != nil {
-		b.Fatal(err)
-	}
-	xm, err := linalg.FromRows(x)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return clf, x, xm
+	fit(b, clf, x, y)
+	return clf, x, csr(b, x)
 }
 
 func BenchmarkPredictLoop(b *testing.B) {
 	clf, x, _ := benchFitted(b, 256)
+	rows := make([]*linalg.SparseMatrix, len(x))
+	for j := range x {
+		rows[j] = csr(b, x[j:j+1])
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range x {
-			if _, err := clf.Predict(x[j]); err != nil {
+		for _, row := range rows {
+			if _, err := clf.PredictBatchSparse(row); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -47,11 +45,11 @@ func BenchmarkPredictLoop(b *testing.B) {
 }
 
 func BenchmarkPredictBatch(b *testing.B) {
-	clf, _, xm := benchFitted(b, 256)
+	clf, _, sp := benchFitted(b, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := clf.PredictBatch(xm); err != nil {
+		if _, err := clf.PredictBatchSparse(sp); err != nil {
 			b.Fatal(err)
 		}
 	}

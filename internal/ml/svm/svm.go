@@ -57,11 +57,7 @@ type SVM struct {
 	b []float64
 }
 
-var (
-	_ ml.Classifier            = (*SVM)(nil)
-	_ ml.SparseBatchClassifier = (*SVM)(nil)
-	_ ml.SparseTrainer         = (*SVM)(nil)
-)
+var _ ml.Classifier = (*SVM)(nil)
 
 // New creates an untrained SVM.
 func New(cfg Config) (*SVM, error) {
@@ -77,46 +73,14 @@ func New(cfg Config) (*SVM, error) {
 	return &SVM{cfg: cfg}, nil
 }
 
-// Fit trains all one-vs-rest hyperplanes. Binary sub-problems are
-// independent and train concurrently; each uses its own seeded RNG, so the
-// result is deterministic regardless of scheduling.
-func (s *SVM) Fit(x [][]float64, y []int) error {
-	dim, err := ml.ValidateTrainingSet(x, y, s.cfg.Classes)
-	if err != nil {
-		return fmt.Errorf("svm: %w", err)
-	}
-	s.dim = dim
-	if s.cfg.NormalizeL2 {
-		x = normalizeAll(x)
-	}
-	s.w = linalg.NewMatrix(s.cfg.Classes, dim)
-	s.b = make([]float64, s.cfg.Classes)
-
-	fitStart := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < s.cfg.Classes; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			start := time.Now()
-			s.b[c] = s.fitBinary(x, y, c, s.w.Row(c))
-			classFitSeconds.ObserveSince(start)
-		}(c)
-	}
-	wg.Wait()
-	epochSeconds.ObserveSince(fitStart)
-	return nil
-}
-
-// FitSparse trains all one-vs-rest hyperplanes on a CSR feature batch
-// without densifying it: margins and hinge steps touch only stored
-// nonzeros. The model is bit-identical to Fit on ToDense() of the same
-// matrix — normalization, dots, and hinge updates all skip exact-zero
-// terms that the dense path absorbs as identity adds, and the per-class
-// RNG streams are untouched. The regularization shrink and the averaging
-// accumulation stay dense (they act on w, not x), so the asymptotic win
-// is the O(nnz) hot half of each step plus never materializing the dense
-// matrix.
+// FitSparse trains all one-vs-rest hyperplanes on a CSR feature batch:
+// margins and hinge steps touch only stored nonzeros, in ascending column
+// order, so the model is bit-identical to dense Pegasos on ToDense() of
+// the same matrix (the skipped terms are exact-zero products, identity
+// adds). The regularization shrink and the averaging accumulation stay
+// dense (they act on w, not x). Binary sub-problems are independent and
+// train concurrently; each uses its own seeded RNG, so the result is
+// deterministic regardless of scheduling.
 func (s *SVM) FitSparse(x *linalg.SparseMatrix, y []int) error {
 	if err := ml.ValidateSparseTrainingSet(x, y, s.cfg.Classes); err != nil {
 		return fmt.Errorf("svm: %w", err)
@@ -135,7 +99,7 @@ func (s *SVM) FitSparse(x *linalg.SparseMatrix, y []int) error {
 		go func(c int) {
 			defer wg.Done()
 			start := time.Now()
-			s.b[c] = s.fitBinarySparse(x, y, c, s.w.Row(c))
+			s.b[c] = s.fitBinary(x, y, c, s.w.Row(c))
 			classFitSeconds.ObserveSince(start)
 		}(c)
 	}
@@ -156,50 +120,8 @@ var (
 // the averaged weight vector into wOut and returning the intercept: the
 // returned hyperplane is the average of the iterates over the second half
 // of training, which substantially stabilizes the stochastic solution.
-func (s *SVM) fitBinary(x [][]float64, y []int, c int, wOut []float64) float64 {
-	rng := rand.New(rand.NewSource(s.cfg.Seed + int64(c)*7919))
-	w := make([]float64, s.dim)
-	avgW := make([]float64, s.dim)
-	var b, avgB float64
-	var averaged int
-
-	n := len(x)
-	steps := s.cfg.Epochs * n
-	burnIn := steps / 2
-	for t := 1; t <= steps; t++ {
-		i := rng.Intn(n)
-		target := -1.0
-		if y[i] == c {
-			target = 1.0
-		}
-		eta := 1 / (s.cfg.Lambda * float64(t))
-
-		margin := target * (linalg.Dot(w, x[i]) + b)
-		// Shrink from regularization, then step on hinge violation.
-		linalg.Scale(w, 1-eta*s.cfg.Lambda)
-		if margin < 1 {
-			linalg.Axpy(w, x[i], eta*target)
-			b += eta * target * 0.01 // unregularized intercept, damped
-		}
-		if t > burnIn {
-			linalg.Axpy(avgW, w, 1)
-			avgB += b
-			averaged++
-		}
-	}
-	if averaged > 0 {
-		linalg.Scale(avgW, 1/float64(averaged))
-		copy(wOut, avgW)
-		return avgB / float64(averaged)
-	}
-	copy(wOut, w)
-	return b
-}
-
-// fitBinarySparse is fitBinary over CSR rows: the margin dot and the
-// hinge step iterate stored nonzeros only, in the same ascending column
-// order the dense kernels walk, so every float lands identically.
-func (s *SVM) fitBinarySparse(x *linalg.SparseMatrix, y []int, c int, wOut []float64) float64 {
+// The margin dot and the hinge step iterate stored nonzeros only.
+func (s *SVM) fitBinary(x *linalg.SparseMatrix, y []int, c int, wOut []float64) float64 {
 	rng := rand.New(rand.NewSource(s.cfg.Seed + int64(c)*7919))
 	w := make([]float64, s.dim)
 	avgW := make([]float64, s.dim)
@@ -240,63 +162,11 @@ func (s *SVM) fitBinarySparse(x *linalg.SparseMatrix, y []int, c int, wOut []flo
 	return b
 }
 
-// Predict returns the class with the largest decision value.
-func (s *SVM) Predict(x []float64) (int, error) {
-	scores, err := s.DecisionValues(x)
-	if err != nil {
-		return 0, err
-	}
-	return linalg.ArgMax(scores), nil
-}
-
-// DecisionValues returns the per-class hyperplane scores.
-func (s *SVM) DecisionValues(x []float64) ([]float64, error) {
-	if s.w == nil {
-		return nil, fmt.Errorf("svm: model not fitted")
-	}
-	if len(x) != s.dim {
-		return nil, fmt.Errorf("svm: feature dim %d, model expects %d", len(x), s.dim)
-	}
-	if s.cfg.NormalizeL2 {
-		x = normalized(x)
-	}
-	scores := make([]float64, s.cfg.Classes)
-	for c := range scores {
-		scores[c] = s.b[c] + linalg.Dot(s.w.Row(c), x)
-	}
-	return scores, nil
-}
-
-// Scores computes the decision-value matrix for a feature batch in one
-// affine kernel: row i holds the per-class hyperplane scores of sample i.
-func (s *SVM) Scores(x *linalg.Matrix) (*linalg.Matrix, error) {
-	if s.w == nil {
-		return nil, fmt.Errorf("svm: model not fitted")
-	}
-	if x.Cols != s.dim {
-		return nil, fmt.Errorf("svm: feature dim %d, model expects %d", x.Cols, s.dim)
-	}
-	if s.cfg.NormalizeL2 {
-		x = normalizedMatrix(x)
-	}
-	return linalg.AffineT(x, s.w, s.b), nil
-}
-
-// PredictBatch returns the predicted class for every row of x, scoring the
-// whole batch natively through the matrix kernel.
-func (s *SVM) PredictBatch(x *linalg.Matrix) ([]int, error) {
-	scores, err := s.Scores(x)
-	if err != nil {
-		return nil, err
-	}
-	return linalg.ArgMaxRows(scores), nil
-}
-
 // ScoresSparse computes the decision-value matrix for a CSR feature batch
 // through the sparse affine kernel, skipping the >95% of multiplies that
-// hit zeros. Scores match the dense path bit for bit: row norms and dots
-// accumulate in the same ascending column order, and zero features
-// contribute exact +0.0 terms in both.
+// hit zeros: row i holds the per-class hyperplane scores of sample i.
+// Row norms and dots accumulate in ascending column order, so scores
+// match a dense evaluation of the same rows bit for bit.
 func (s *SVM) ScoresSparse(x *linalg.SparseMatrix) (*linalg.Matrix, error) {
 	if s.w == nil {
 		return nil, fmt.Errorf("svm: model not fitted")
@@ -318,48 +188,6 @@ func (s *SVM) PredictBatchSparse(x *linalg.SparseMatrix) ([]int, error) {
 		return nil, err
 	}
 	return linalg.ArgMaxRows(scores), nil
-}
-
-// normalized returns x scaled to unit L2 norm (copies; zero vectors pass
-// through unchanged).
-func normalized(x []float64) []float64 {
-	n := linalg.Norm2(x)
-	if n == 0 {
-		return x
-	}
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = v / n
-	}
-	return out
-}
-
-// normalizeAll normalizes a batch.
-func normalizeAll(x [][]float64) [][]float64 {
-	out := make([][]float64, len(x))
-	for i, row := range x {
-		out[i] = normalized(row)
-	}
-	return out
-}
-
-// normalizedMatrix returns a copy of m with unit-L2 rows (zero rows pass
-// through unchanged), written in a single pass per row.
-func normalizedMatrix(m *linalg.Matrix) *linalg.Matrix {
-	out := linalg.NewMatrix(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		src := m.Row(i)
-		dst := out.Row(i)
-		n := linalg.Norm2(src)
-		if n == 0 {
-			copy(dst, src)
-			continue
-		}
-		for j, v := range src {
-			dst[j] = v / n
-		}
-	}
-	return out
 }
 
 // normalizedSparse returns x with unit-L2 rows (zero rows pass through

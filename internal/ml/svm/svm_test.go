@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"elevprivacy/internal/ml/linalg"
 )
 
 // gaussianBlobs generates `perClass` points around each of the given
@@ -23,17 +25,43 @@ func gaussianBlobs(centers [][]float64, perClass int, spread float64, seed int64
 	return x, y
 }
 
-func accuracy(t *testing.T, clf interface {
-	Predict([]float64) (int, error)
-}, x [][]float64, y []int) float64 {
+// csr converts dense rows to the CSR batch the classifier consumes.
+func csr(t testing.TB, x [][]float64) *linalg.SparseMatrix {
 	t.Helper()
+	m, err := linalg.FromRows(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return linalg.SparseFromDense(m)
+}
+
+// fit trains clf on dense rows through FitSparse.
+func fit(t testing.TB, clf *SVM, x [][]float64, y []int) {
+	t.Helper()
+	if err := clf.FitSparse(csr(t, x), y); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// scores returns the decision values of every row of x.
+func scores(t testing.TB, clf *SVM, x [][]float64) *linalg.Matrix {
+	t.Helper()
+	s, err := clf.ScoresSparse(csr(t, x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func accuracy(t *testing.T, clf *SVM, x [][]float64, y []int) float64 {
+	t.Helper()
+	preds, err := clf.PredictBatchSparse(csr(t, x))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var correct int
-	for i := range x {
-		pred, err := clf.Predict(x[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pred == y[i] {
+	for i, p := range preds {
+		if p == y[i] {
 			correct++
 		}
 	}
@@ -67,9 +95,7 @@ func TestBinarySeparable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := clf.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
+	fit(t, clf, x, y)
 	if acc := accuracy(t, clf, x, y); acc < 0.98 {
 		t.Errorf("separable accuracy = %f, want >= 0.98", acc)
 	}
@@ -82,9 +108,7 @@ func TestMultiClassSeparable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := clf.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
+	fit(t, clf, x, y)
 	if acc := accuracy(t, clf, x, y); acc < 0.95 {
 		t.Errorf("4-class accuracy = %f, want >= 0.95", acc)
 	}
@@ -108,9 +132,7 @@ func TestHighDimensionalSparse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := clf.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
+	fit(t, clf, x, y)
 	if acc := accuracy(t, clf, x, y); acc < 0.95 {
 		t.Errorf("sparse accuracy = %f", acc)
 	}
@@ -121,11 +143,14 @@ func TestFitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := clf.Fit(nil, nil); err == nil {
+	if err := clf.FitSparse(nil, nil); err == nil {
 		t.Error("empty fit accepted")
 	}
-	if err := clf.Fit([][]float64{{1}}, []int{3}); err == nil {
+	if err := clf.FitSparse(csr(t, [][]float64{{1}}), []int{3}); err == nil {
 		t.Error("out-of-range label accepted")
+	}
+	if err := clf.FitSparse(csr(t, [][]float64{{1}, {2}}), []int{0}); err == nil {
+		t.Error("label count mismatch accepted")
 	}
 }
 
@@ -134,14 +159,12 @@ func TestPredictValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clf.Predict([]float64{1}); err == nil {
+	if _, err := clf.PredictBatchSparse(csr(t, [][]float64{{1}})); err == nil {
 		t.Error("predict before fit accepted")
 	}
 	x, y := gaussianBlobs([][]float64{{0}, {5}}, 10, 0.1, 4)
-	if err := clf.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := clf.Predict([]float64{1, 2, 3}); err == nil {
+	fit(t, clf, x, y)
+	if _, err := clf.PredictBatchSparse(csr(t, [][]float64{{1, 2, 3}})); err == nil {
 		t.Error("wrong-dim predict accepted")
 	}
 }
@@ -156,12 +179,8 @@ func TestDeterministicTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
+	fit(t, a, x, y)
+	fit(t, b, x, y)
 	for i, v := range a.w.Data {
 		if v != b.w.Data[i] {
 			t.Fatal("same-seed training diverges (parallelism nondeterminism?)")
@@ -175,15 +194,10 @@ func TestDecisionValuesShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := clf.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	scores, err := clf.DecisionValues(x[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scores) != 3 {
-		t.Errorf("scores = %v", scores)
+	fit(t, clf, x, y)
+	s := scores(t, clf, x)
+	if s.Rows != len(x) || s.Cols != 3 {
+		t.Errorf("scores shape %dx%d, want %dx3", s.Rows, s.Cols, len(x))
 	}
 }
 
@@ -193,9 +207,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := clf.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
+	fit(t, clf, x, y)
 
 	var buf bytes.Buffer
 	if err := clf.Save(&buf); err != nil {
@@ -205,16 +217,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range x {
-		want, _ := clf.DecisionValues(x[i])
-		got, err := back.DecisionValues(x[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range want {
-			if want[k] != got[k] {
-				t.Fatalf("sample %d scores: %v vs %v", i, got, want)
-			}
+	want, got := scores(t, clf, x), scores(t, back, x)
+	for i := range want.Data {
+		if want.Data[i] != got.Data[i] {
+			t.Fatalf("score %d: %v after load, %v before", i, got.Data[i], want.Data[i])
 		}
 	}
 }

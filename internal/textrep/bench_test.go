@@ -31,21 +31,9 @@ func BenchmarkPipelineBuild(b *testing.B) {
 	}
 }
 
-func BenchmarkVectorize(b *testing.B) {
-	signals := benchSignals(200, 80)
-	p, err := NewPipeline(signals, DefaultPipelineConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = p.Features(signals[i%len(signals)])
-	}
-}
-
-// BenchmarkEncodeString vs BenchmarkEncodeTokens: the string build versus
-// the allocation-free rank-id path.
+// BenchmarkEncodeString vs BenchmarkEncodeTokens: the text rendering the
+// vocabulary build consumes versus the allocation-free rank-id path every
+// featurization takes.
 func BenchmarkEncodeString(b *testing.B) {
 	signals := benchSignals(200, 80)
 	enc, err := BuildEncoder(signals, FloorDiscretizer, DefaultAlphabet)
@@ -73,33 +61,15 @@ func BenchmarkEncodeTokens(b *testing.B) {
 	}
 }
 
-// BenchmarkVectorizeStringDense vs BenchmarkVectorizeTokenSparse: one
-// sample through the legacy encode+map path into a dense row, versus the
-// token path into a reused sparse row.
-func BenchmarkVectorizeStringDense(b *testing.B) {
-	signals := benchSignals(200, 80)
-	p, err := NewPipeline(signals, DefaultPipelineConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst := make([]float64, p.Dim())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Vocabulary().VectorizeInto(p.Encoder().Encode(signals[i%len(signals)]), dst)
-	}
-}
-
+// BenchmarkVectorizeTokenSparse featurizes one sample into a reused CSR
+// row.
 func BenchmarkVectorizeTokenSparse(b *testing.B) {
 	signals := benchSignals(200, 80)
 	p, err := NewPipeline(signals, DefaultPipelineConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	tv, err := p.Vocabulary().NewTokenVectorizer()
-	if err != nil {
-		b.Fatal(err)
-	}
+	tv := p.Vocabulary().newTokenVectorizer()
 	var tokens []uint32
 	cols := make([]int32, 0, 256)
 	vals := make([]float64, 0, 256)
@@ -107,21 +77,7 @@ func BenchmarkVectorizeTokenSparse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tokens = p.Encoder().EncodeTokens(signals[i%len(signals)], tokens)
-		cols, vals = tv.AppendSparse(tokens, cols[:0], vals[:0])
-	}
-}
-
-// Whole-batch featurization: legacy dense matrix vs CSR.
-func BenchmarkFeaturesAllDense(b *testing.B) {
-	signals := benchSignals(200, 80)
-	p, err := NewPipeline(signals, DefaultPipelineConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = p.FeaturesAll(signals)
+		cols, vals = tv.appendSparse(tokens, cols[:0], vals[:0])
 	}
 }
 

@@ -18,8 +18,8 @@ const DefaultAlphabet = "abcdefghijklmnopqrstuvwxyz"
 // The hot path is the token form: a discrete value's identity is its RANK
 // in sortedVals (a uint32), found by binary search, and the word string of
 // rank i is just indexWord(i). EncodeTokens therefore never builds strings
-// or hashes floats; Encode remains as the thin string-compatibility layer
-// on top of the same rank lookup.
+// or hashes floats; Encode renders the same ranks as text for the one-off
+// vocabulary build, whose grams are strings.
 type Encoder struct {
 	disc     Discretizer
 	alphabet string
@@ -79,7 +79,12 @@ func BuildEncoder(signals [][]float64, disc Discretizer, alphabet string) (*Enco
 		vals = append(vals, v)
 	}
 	sort.Float64s(vals)
+	return newEncoder(disc, alphabet, vals), nil
+}
 
+// newEncoder assigns the i-th smallest of the sorted, distinct values the
+// i-th base-l word of size w = ⌈log_l c⌉.
+func newEncoder(disc Discretizer, alphabet string, vals []float64) *Encoder {
 	w := WordSize(len(alphabet), len(vals))
 	enc := &Encoder{
 		disc:       disc,
@@ -92,7 +97,7 @@ func BuildEncoder(signals [][]float64, disc Discretizer, alphabet string) (*Enco
 		enc.wordByRank[i] = indexWord(i, w, alphabet)
 	}
 	enc.buildRankIndex()
-	return enc, nil
+	return enc
 }
 
 // buildRankIndex derives the rank-lookup accelerators from sortedVals: the
@@ -131,8 +136,7 @@ func (e *Encoder) UniqueValues() int { return len(e.sortedVals) }
 
 // Encode converts a signal into its text: the concatenation of the word of
 // every discretized value. Values unseen at build time map to the nearest
-// known discrete value. This is the string-compatibility wrapper over the
-// token path; both produce the word sequence rank-for-rank.
+// known discrete value. It renders exactly the ranks EncodeTokens returns.
 func (e *Encoder) Encode(signal []float64) string {
 	var sb strings.Builder
 	sb.Grow(len(signal) * e.wordSize)

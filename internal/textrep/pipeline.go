@@ -2,6 +2,7 @@ package textrep
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -13,10 +14,11 @@ import (
 )
 
 // Pipeline bundles the full text-like preprocessing chain — discretize,
-// encode, vectorize — behind one object, built once per dataset. The hot
-// path is integer end to end: signals encode to rank-id tokens (no string
-// build), n-grams resolve through uint64 keys (no substring hashing), and
-// batches can come out as CSR sparse matrices (no >95%-zero dense rows).
+// encode, vectorize — behind one object, built once per dataset. The
+// feature path is integer end to end and CSR is its only output format:
+// signals encode to rank-id tokens (no string build), n-grams resolve
+// through uint64 keys (no substring hashing), and batches come out as
+// sparse matrices (no >95%-zero dense rows).
 type Pipeline struct {
 	encoder *Encoder
 	vocab   *Vocabulary
@@ -85,103 +87,53 @@ func NewPipeline(signals [][]float64, cfg PipelineConfig) (*Pipeline, error) {
 		MaxN:         cfg.NGram,
 		MinFrequency: cfg.MinFrequency,
 		MaxFeatures:  cfg.MaxFeatures,
-	})
+	}, cfg.Alphabet, enc.UniqueValues())
 	if err != nil {
-		return nil, err
-	}
-	if err := vocab.BuildTokenIndex(cfg.Alphabet, enc.UniqueValues()); err != nil {
 		return nil, err
 	}
 	return &Pipeline{encoder: enc, vocab: vocab, precision: cfg.Precision}, nil
 }
 
-// Features converts one raw signal into its normalized BoW feature vector.
-func (p *Pipeline) Features(signal []float64) []float64 {
-	out := make([]float64, p.vocab.Size())
-	tv, err := p.vocab.NewTokenVectorizer()
-	if err != nil {
-		// Vocabulary built without a token index (legacy construction):
-		// fall back to the string path, which needs no index.
-		p.vocab.VectorizeInto(p.encoder.Encode(signal), out)
-		return out
-	}
-	tv.VectorizeInto(p.encoder.EncodeTokens(signal, nil), out)
-	return out
-}
-
 // forEachSignal partitions [0, n) into contiguous chunks and runs fn on
-// each concurrently, handing every worker its own TokenVectorizer — the
-// fan-out used by both batch featurizers. Per-sample outputs depend only
-// on the sample, so results are identical at any worker count. Returns
-// false when the vocabulary has no token index.
-func (p *Pipeline) forEachSignal(n int, fn func(lo, hi int, tv *TokenVectorizer)) bool {
-	if !p.vocab.HasTokenIndex() {
-		return false
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+// each concurrently, handing every worker its own tokenVectorizer.
+// Per-sample outputs depend only on the sample, so results are identical
+// at any worker count.
+func (p *Pipeline) forEachSignal(n int, fn func(lo, hi int, tv *tokenVectorizer)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
-		tv, err := p.vocab.NewTokenVectorizer()
-		if err != nil {
-			return false
-		}
-		fn(0, n, tv)
-		return true
+		fn(0, n, p.vocab.newTokenVectorizer())
+		return
 	}
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		tv, err := p.vocab.NewTokenVectorizer()
-		if err != nil {
-			return false
-		}
 		wg.Add(1)
-		go func(lo, hi int, tv *TokenVectorizer) {
+		go func(lo, hi int, tv *tokenVectorizer) {
 			defer wg.Done()
 			fn(lo, hi, tv)
-		}(lo, hi, tv)
+		}(lo, min(lo+chunk, n), p.vocab.newTokenVectorizer())
 	}
 	wg.Wait()
-	return true
 }
 
 // Featurization telemetry: batch throughput (rows featurized and wall time
-// per batch call), shared by the dense and sparse paths.
+// per batch call).
 var (
 	featurizeRows    = obs.GetCounter("elevpriv_textrep_rows_featurized_total")
 	featurizeSeconds = obs.GetHistogram("elevpriv_textrep_featurize_seconds", nil)
 )
 
-// FeaturesAll converts a batch of signals into one dense n×Dim feature
-// matrix, each sample tokenized and vectorized straight into its row by a
-// pool of workers — the shape the batch classifier contract consumes.
+// FeaturesAll is FeaturesAllSparse materialized as a dense n×Dim matrix,
+// for callers that need explicit zeros; every classifier consumes the CSR
+// form directly.
 func (p *Pipeline) FeaturesAll(signals [][]float64) *linalg.Matrix {
-	defer featurizeSeconds.ObserveSince(time.Now())
-	featurizeRows.Add(int64(len(signals)))
-	out := linalg.NewMatrix(len(signals), p.vocab.Size())
-	ok := p.forEachSignal(len(signals), func(lo, hi int, tv *TokenVectorizer) {
-		var tokens []uint32
-		for i := lo; i < hi; i++ {
-			tokens = p.encoder.EncodeTokens(signals[i], tokens)
-			tv.VectorizeInto(tokens, out.Row(i))
-		}
-	})
-	if !ok {
-		for i, sig := range signals {
-			p.vocab.VectorizeInto(p.encoder.Encode(sig), out.Row(i))
-		}
-	}
-	return out
+	return p.FeaturesAllSparse(signals).ToDense()
 }
 
 // FeaturesAllSparse converts a batch of signals into one CSR n×Dim feature
-// matrix. Workers build contiguous row ranges into private buffers that
-// are stitched in order, so the result is byte-identical at any
-// GOMAXPROCS. Feature values match FeaturesAll element for element; only
-// the zeros are gone.
+// matrix, each sample tokenized and vectorized straight into its row.
+// Workers build contiguous row ranges into private buffers that are
+// stitched in order, so the result is byte-identical at any GOMAXPROCS.
 func (p *Pipeline) FeaturesAllSparse(signals [][]float64) *linalg.SparseMatrix {
 	defer featurizeSeconds.ObserveSince(time.Now())
 	featurizeRows.Add(int64(len(signals)))
@@ -197,34 +149,18 @@ func (p *Pipeline) FeaturesAllSparse(signals [][]float64) *linalg.SparseMatrix {
 
 	var mu sync.Mutex
 	var shards []shard
-	ok := p.forEachSignal(n, func(lo, hi int, tv *TokenVectorizer) {
+	p.forEachSignal(n, func(lo, hi int, tv *tokenVectorizer) {
 		sh := shard{lo: lo, ends: make([]int, 0, hi-lo)}
 		var tokens []uint32
 		for i := lo; i < hi; i++ {
 			tokens = p.encoder.EncodeTokens(signals[i], tokens)
-			sh.cols, sh.vals = tv.AppendSparse(tokens, sh.cols, sh.vals)
+			sh.cols, sh.vals = tv.appendSparse(tokens, sh.cols, sh.vals)
 			sh.ends = append(sh.ends, len(sh.vals))
 		}
 		mu.Lock()
 		shards = append(shards, sh)
 		mu.Unlock()
 	})
-	if !ok {
-		// Legacy vocabulary without a token index: emit rows through the
-		// dense string path and compress.
-		row := make([]float64, p.vocab.Size())
-		for _, sig := range signals {
-			p.vocab.VectorizeInto(p.encoder.Encode(sig), row)
-			for j, v := range row {
-				if v != 0 {
-					out.ColIdx = append(out.ColIdx, int32(j))
-					out.Val = append(out.Val, v)
-				}
-			}
-			out.AppendRow()
-		}
-		return out
-	}
 
 	// Stitch shards in row order.
 	slices.SortFunc(shards, func(a, b shard) int { return a.lo - b.lo })
@@ -285,51 +221,63 @@ func (p *Pipeline) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON reconstructs a fitted pipeline, token index included.
+// ErrMalformedPipeline is wrapped by every error UnmarshalJSON returns, so
+// callers can tell a corrupt or hostile saved pipeline (errors.Is) from an
+// I/O failure.
+var ErrMalformedPipeline = errors.New("textrep: malformed saved pipeline")
+
+// UnmarshalJSON reconstructs a fitted pipeline, token index included. The
+// input is untrusted: every size that drives an allocation — the word
+// size, the n-gram order range — must agree with what the stored values
+// and grams imply, so a few bytes cannot request gigabytes.
 func (p *Pipeline) UnmarshalJSON(data []byte) error {
 	var sp savedPipeline
 	if err := json.Unmarshal(data, &sp); err != nil {
-		return fmt.Errorf("textrep: parsing pipeline: %w", err)
+		return fmt.Errorf("%w: %w", ErrMalformedPipeline, err)
 	}
-	if len(sp.Values) == 0 || len(sp.Grams) == 0 {
-		return fmt.Errorf("textrep: saved pipeline is empty")
+	if err := sp.validate(); err != nil {
+		return fmt.Errorf("%w: %s", ErrMalformedPipeline, err)
 	}
-	if len(sp.Alphabet) < 2 || sp.WordSize < 1 || sp.MinN < 1 || sp.MaxN < sp.MinN {
-		return fmt.Errorf("textrep: saved pipeline malformed")
-	}
-
 	disc := FloorDiscretizer
 	if sp.Precision > 0 {
 		disc = PrecisionDiscretizer(sp.Precision)
 	}
-	enc := &Encoder{
-		disc:       disc,
-		alphabet:   sp.Alphabet,
-		wordSize:   sp.WordSize,
-		wordByRank: make([]string, len(sp.Values)),
-		sortedVals: sp.Values,
+	enc := newEncoder(disc, sp.Alphabet, sp.Values)
+	vocab, err := newVocabulary(sp.Grams, sp.WordSize, sp.MinN, sp.MaxN, sp.Alphabet, len(sp.Values))
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrMalformedPipeline, err)
 	}
-	enc.buildRankIndex()
-	for i := range sp.Values {
-		enc.wordByRank[i] = indexWord(i, sp.WordSize, sp.Alphabet)
-	}
-
-	vocab := &Vocabulary{
-		wordSize: sp.WordSize,
-		minN:     sp.MinN,
-		maxN:     sp.MaxN,
-		index:    make(map[string]int, len(sp.Grams)),
-		grams:    sp.Grams,
-	}
-	for i, g := range sp.Grams {
-		vocab.index[g] = i
-	}
-	if err := vocab.BuildTokenIndex(sp.Alphabet, len(sp.Values)); err != nil {
-		return fmt.Errorf("textrep: rebuilding token index: %w", err)
-	}
-
 	p.encoder = enc
 	p.vocab = vocab
 	p.precision = sp.Precision
+	return nil
+}
+
+// validate checks the saved fields against each other before anything is
+// built from them.
+func (sp *savedPipeline) validate() error {
+	switch {
+	case len(sp.Values) == 0 || len(sp.Grams) == 0:
+		return errors.New("no values or no grams")
+	case len(sp.Alphabet) < 2:
+		return fmt.Errorf("alphabet of %d letters", len(sp.Alphabet))
+	case sp.WordSize != WordSize(len(sp.Alphabet), len(sp.Values)):
+		return fmt.Errorf("word size %d, but %d values over %d letters need %d",
+			sp.WordSize, len(sp.Values), len(sp.Alphabet), WordSize(len(sp.Alphabet), len(sp.Values)))
+	case sp.MinN < 1 || sp.MaxN < sp.MinN:
+		return fmt.Errorf("n-gram range [%d,%d]", sp.MinN, sp.MaxN)
+	}
+	for i := 1; i < len(sp.Values); i++ {
+		if !(sp.Values[i-1] < sp.Values[i]) {
+			return fmt.Errorf("values %d and %d not strictly ascending", i-1, i)
+		}
+	}
+	longest := 0
+	for _, g := range sp.Grams {
+		longest = max(longest, len(g)/sp.WordSize)
+	}
+	if sp.MaxN > longest {
+		return fmt.Errorf("max_n %d above the longest gram's order %d", sp.MaxN, longest)
+	}
 	return nil
 }

@@ -190,7 +190,7 @@ func TestIndexWord(t *testing.T) {
 
 func TestBuildVocabularyCollectsNGrams(t *testing.T) {
 	// Word size 1; text "abab": 1-grams {a,b}, 2-grams {ab, ba}.
-	vocab, err := BuildVocabulary([]string{"abab"}, VocabConfig{WordSize: 1, MinN: 1, MaxN: 2})
+	vocab, err := buildVocab([]string{"abab"}, VocabConfig{WordSize: 1, MinN: 1, MaxN: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestBuildVocabularyCollectsNGrams(t *testing.T) {
 func TestBuildVocabularyWordAlignment(t *testing.T) {
 	// Word size 2: "aabb" has words [aa, bb]; the misaligned "ab" straddle
 	// must NOT appear.
-	vocab, err := BuildVocabulary([]string{"aabb"}, VocabConfig{WordSize: 2, MinN: 1, MaxN: 2})
+	vocab, err := buildVocab([]string{"aabb"}, VocabConfig{WordSize: 2, MinN: 1, MaxN: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestBuildVocabularyWordAlignment(t *testing.T) {
 
 func TestBuildVocabularyFrequencyThreshold(t *testing.T) {
 	corpus := []string{"aaab", "aaac"} // "a" occurs 6x, b/c once each
-	vocab, err := BuildVocabulary(corpus, VocabConfig{WordSize: 1, MinN: 1, MaxN: 1, MinFrequency: 2})
+	vocab, err := buildVocab(corpus, VocabConfig{WordSize: 1, MinN: 1, MaxN: 1, MinFrequency: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestBuildVocabularyFrequencyThreshold(t *testing.T) {
 
 func TestBuildVocabularyMaxFeatures(t *testing.T) {
 	corpus := []string{"aaabbc"}
-	vocab, err := BuildVocabulary(corpus, VocabConfig{WordSize: 1, MinN: 1, MaxN: 1, MaxFeatures: 2})
+	vocab, err := buildVocab(corpus, VocabConfig{WordSize: 1, MinN: 1, MaxN: 1, MaxFeatures: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,29 +248,29 @@ func TestBuildVocabularyMaxFeatures(t *testing.T) {
 }
 
 func TestBuildVocabularyValidation(t *testing.T) {
-	if _, err := BuildVocabulary([]string{"ab"}, VocabConfig{WordSize: 0, MinN: 1, MaxN: 1}); err == nil {
+	if _, err := buildVocab([]string{"ab"}, VocabConfig{WordSize: 0, MinN: 1, MaxN: 1}); err == nil {
 		t.Error("word size 0 accepted")
 	}
-	if _, err := BuildVocabulary([]string{"ab"}, VocabConfig{WordSize: 1, MinN: 2, MaxN: 1}); err == nil {
+	if _, err := buildVocab([]string{"ab"}, VocabConfig{WordSize: 1, MinN: 2, MaxN: 1}); err == nil {
 		t.Error("inverted n range accepted")
 	}
-	if _, err := BuildVocabulary([]string{"abc"}, VocabConfig{WordSize: 2, MinN: 1, MaxN: 1}); err == nil {
+	if _, err := buildVocab([]string{"abc"}, VocabConfig{WordSize: 2, MinN: 1, MaxN: 1}); err == nil {
 		t.Error("misaligned corpus line accepted")
 	}
-	if _, err := BuildVocabulary([]string{""}, VocabConfig{WordSize: 1, MinN: 1, MaxN: 1}); err == nil {
+	if _, err := buildVocab([]string{""}, VocabConfig{WordSize: 1, MinN: 1, MaxN: 1}); err == nil {
 		t.Error("empty corpus accepted")
 	}
-	if _, err := BuildVocabulary([]string{"aab"}, VocabConfig{WordSize: 1, MinN: 1, MaxN: 1, MinFrequency: 10}); err == nil {
+	if _, err := buildVocab([]string{"aab"}, VocabConfig{WordSize: 1, MinN: 1, MaxN: 1, MinFrequency: 10}); err == nil {
 		t.Error("threshold that removes everything accepted")
 	}
 }
 
 func TestVectorizeNormalized(t *testing.T) {
-	vocab, err := BuildVocabulary([]string{"aabb"}, VocabConfig{WordSize: 1, MinN: 1, MaxN: 1})
+	vocab, err := buildVocab([]string{"aabb"}, VocabConfig{WordSize: 1, MinN: 1, MaxN: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vec := vocab.Vectorize("aabb")
+	vec := vectorize(vocab, "aabb")
 	var sum float64
 	for _, v := range vec {
 		if v < 0 {
@@ -290,25 +290,25 @@ func TestVectorizeNormalized(t *testing.T) {
 func TestVectorizeNonOverlappingCounts(t *testing.T) {
 	// Vocabulary with only the bigram "aa"; text "aaaa" has TWO
 	// non-overlapping occurrences (not three overlapping ones).
-	vocab, err := BuildVocabulary([]string{"aaaa"}, VocabConfig{WordSize: 1, MinN: 2, MaxN: 2})
+	vocab, err := buildVocab([]string{"aaaa"}, VocabConfig{WordSize: 1, MinN: 2, MaxN: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vocab.Size() != 1 || vocab.Grams()[0] != "aa" {
 		t.Fatalf("grams = %v", vocab.Grams())
 	}
-	vec := vocab.Vectorize("aaaa")
+	vec := vectorize(vocab, "aaaa")
 	// Single feature normalized to 1; underlying count was 2 — verify via
 	// an added distractor text with odd length.
 	if vec[0] != 1 {
 		t.Errorf("vec = %v", vec)
 	}
 
-	vocab2, err := BuildVocabulary([]string{"aabb"}, VocabConfig{WordSize: 1, MinN: 1, MaxN: 2})
+	vocab2, err := buildVocab([]string{"aabb"}, VocabConfig{WordSize: 1, MinN: 1, MaxN: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vec2 := vocab2.Vectorize("aaaa")
+	vec2 := vectorize(vocab2, "aaaa")
 	// Counts: "a"×4 non-overlapping 1-grams, "aa"×2 bigrams; "b", "ab",
 	// "bb" zero. Total 6.
 	idx := map[string]int{}
@@ -324,11 +324,11 @@ func TestVectorizeNonOverlappingCounts(t *testing.T) {
 }
 
 func TestVectorizeEmptyText(t *testing.T) {
-	vocab, err := BuildVocabulary([]string{"ab"}, VocabConfig{WordSize: 1, MinN: 1, MaxN: 1})
+	vocab, err := buildVocab([]string{"ab"}, VocabConfig{WordSize: 1, MinN: 1, MaxN: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vec := vocab.Vectorize("")
+	vec := vectorize(vocab, "")
 	for _, v := range vec {
 		if v != 0 {
 			t.Errorf("empty text vector = %v", vec)
@@ -337,7 +337,7 @@ func TestVectorizeEmptyText(t *testing.T) {
 }
 
 func TestVectorizeProbabilityProperty(t *testing.T) {
-	vocab, err := BuildVocabulary([]string{"abcabcabc"}, VocabConfig{WordSize: 1, MinN: 1, MaxN: 3})
+	vocab, err := buildVocab([]string{"abcabcabc"}, VocabConfig{WordSize: 1, MinN: 1, MaxN: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestVectorizeProbabilityProperty(t *testing.T) {
 		for _, b := range seed {
 			sb.WriteByte("abc"[int(b)%3])
 		}
-		vec := vocab.Vectorize(sb.String())
+		vec := vectorize(vocab, sb.String())
 		var sum float64
 		for _, v := range vec {
 			if v < 0 || v > 1 {
@@ -380,8 +380,8 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Fatal("empty feature space")
 	}
 
-	lowVec := p.Features(signals[0])
-	highVec := p.Features(signals[2])
+	x := p.FeaturesAll(signals)
+	lowVec, highVec := x.Row(0), x.Row(2)
 	// The two classes must use disjoint dominant features.
 	var shared float64
 	for i := range lowVec {
@@ -392,7 +392,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 
 	// Same-class profiles should overlap substantially.
-	lowVec2 := p.Features(signals[1])
+	lowVec2 := x.Row(1)
 	var sameShared float64
 	for i := range lowVec {
 		sameShared += math.Min(lowVec[i], lowVec2[i])
@@ -448,22 +448,13 @@ func TestPipelinePersistenceRoundTrip(t *testing.T) {
 	if back.Dim() != p.Dim() {
 		t.Fatalf("dim = %d, want %d", back.Dim(), p.Dim())
 	}
-	for _, sig := range signals {
-		want := p.Features(sig)
-		got := back.Features(sig)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("feature %d = %f, want %f", i, got[i], want[i])
-			}
-		}
-	}
-	// An unseen signal (nearest-value fallback) also agrees.
-	fresh := []float64{5.05, 6.0, 80.0, 81.0}
-	want := p.Features(fresh)
-	got := back.Features(fresh)
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("fresh feature %d = %f, want %f", i, got[i], want[i])
+	// Training signals and an unseen one (nearest-value fallback) agree.
+	probe := append(signals, []float64{5.05, 6.0, 80.0, 81.0})
+	want := p.FeaturesAll(probe)
+	got := back.FeaturesAll(probe)
+	for i := range want.Data {
+		if want.Data[i] != got.Data[i] {
+			t.Fatalf("feature %d = %f, want %f", i, got.Data[i], want.Data[i])
 		}
 	}
 }

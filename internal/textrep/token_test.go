@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -70,42 +71,90 @@ func newTestPipeline(t *testing.T, signals [][]float64, cfg PipelineConfig) *Pip
 	return p
 }
 
-// assertTokenStringParity checks, for every signal, that the token
-// vectorizer and the string vectorizer produce bitwise-identical rows, and
-// that the sparse row re-densifies to the same bits.
+// buildVocab builds a vocabulary over texts written in DefaultAlphabet,
+// indexing every word the configured word size can spell.
+func buildVocab(corpus []string, cfg VocabConfig) (*Vocabulary, error) {
+	return BuildVocabulary(corpus, cfg, DefaultAlphabet, pow(len(DefaultAlphabet), cfg.WordSize))
+}
+
+// textTokens decodes a DefaultAlphabet text back into its rank ids, one per
+// word: the token sequence Encoder.EncodeTokens emits for the same signal.
+func textTokens(text string, wordSize int) []uint32 {
+	tokens := make([]uint32, len(text)/wordSize)
+	for i := range tokens {
+		for _, c := range []byte(text[i*wordSize : (i+1)*wordSize]) {
+			tokens[i] = tokens[i]*uint32(len(DefaultAlphabet)) + uint32(strings.IndexByte(DefaultAlphabet, c))
+		}
+	}
+	return tokens
+}
+
+// vectorize featurizes one text through the token scan and returns the
+// CSR row scattered into a dense vector.
+func vectorize(v *Vocabulary, text string) []float64 {
+	cols, vals := v.newTokenVectorizer().appendSparse(textTokens(text, v.wordSize), nil, nil)
+	return scatter(v.Size(), cols, vals)
+}
+
+func scatter(dim int, cols []int32, vals []float64) []float64 {
+	row := make([]float64, dim)
+	for k, c := range cols {
+		row[c] = vals[k]
+	}
+	return row
+}
+
+// stringVectorize is the reference featurizer the token scan is checked
+// against: for every order, word-aligned windows over the encoded text are
+// looked up by substring, a match jumps the whole window (non-overlapping
+// counting) and a miss advances one word; counts are normalized to sum 1.
+func stringVectorize(v *Vocabulary, text string) []float64 {
+	index := make(map[string]int, v.Size())
+	for i, g := range v.Grams() {
+		index[g] = i
+	}
+	vec := make([]float64, v.Size())
+	var total float64
+	for n := v.minN; n <= v.maxN; n++ {
+		window := v.wordSize * n
+		for off := 0; off+window <= len(text); {
+			if i, ok := index[text[off:off+window]]; ok {
+				vec[i]++
+				total++
+				off += window
+			} else {
+				off += v.wordSize
+			}
+		}
+	}
+	if total > 0 {
+		for i := range vec {
+			vec[i] /= total
+		}
+	}
+	return vec
+}
+
+// assertTokenStringParity checks, for every signal, that the token scan's
+// CSR row holds strictly ascending columns and re-densifies to exactly the
+// bits of the reference string vectorizer.
 func assertTokenStringParity(t *testing.T, p *Pipeline, signals [][]float64) {
 	t.Helper()
-	tv, err := p.Vocabulary().NewTokenVectorizer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dim := p.Dim()
-	stringRow := make([]float64, dim)
-	tokenRow := make([]float64, dim)
-	sparseRow := make([]float64, dim)
+	tv := p.Vocabulary().newTokenVectorizer()
 	var tokens []uint32
 	for si, sig := range signals {
-		p.Vocabulary().VectorizeInto(p.Encoder().Encode(sig), stringRow)
+		want := stringVectorize(p.Vocabulary(), p.Encoder().Encode(sig))
 		tokens = p.Encoder().EncodeTokens(sig, tokens)
-		tv.VectorizeInto(tokens, tokenRow)
-
-		cols, vals := tv.AppendSparse(tokens, nil, nil)
-		for i := range sparseRow {
-			sparseRow[i] = 0
-		}
-		for k, c := range cols {
-			if k > 0 && cols[k-1] >= c {
+		cols, vals := tv.appendSparse(tokens, nil, nil)
+		for k := 1; k < len(cols); k++ {
+			if cols[k-1] >= cols[k] {
 				t.Fatalf("signal %d: sparse columns not strictly ascending: %v", si, cols)
 			}
-			sparseRow[c] = vals[k]
 		}
-
-		for i := range stringRow {
-			if stringRow[i] != tokenRow[i] {
-				t.Fatalf("signal %d feature %d: string %v, token %v", si, i, stringRow[i], tokenRow[i])
-			}
-			if stringRow[i] != sparseRow[i] {
-				t.Fatalf("signal %d feature %d: string %v, sparse %v", si, i, stringRow[i], sparseRow[i])
+		got := scatter(p.Dim(), cols, vals)
+		for i := range want {
+			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("signal %d feature %d: string %v, token %v", si, i, want[i], got[i])
 			}
 		}
 	}
@@ -139,25 +188,29 @@ func TestTokenVectorizeHashedParity(t *testing.T) {
 	assertTokenStringParity(t, p, tokenTestSignals(10, 120, 420, 14)) // unseen values
 }
 
+// TestFeaturesAllSparseMatchesDense checks the batch featurizer against the
+// dense reference rows of the string vectorizer, and that the CSR form is
+// worth having: most of the dense matrix is zeros it never stores.
 func TestFeaturesAllSparseMatchesDense(t *testing.T) {
 	for _, spread := range []float64{20, 400} { // packed and hashed regimes
 		signals := tokenTestSignals(50, 90, spread, 17)
-		cfg := DefaultPipelineConfig()
-		p := newTestPipeline(t, signals, cfg)
+		p := newTestPipeline(t, signals, DefaultPipelineConfig())
 
-		dense := p.FeaturesAll(signals)
 		sparse := p.FeaturesAllSparse(signals)
-		if sparse.Rows != dense.Rows || sparse.Cols != dense.Cols {
-			t.Fatalf("sparse shape %dx%d, dense %dx%d", sparse.Rows, sparse.Cols, dense.Rows, dense.Cols)
+		if sparse.Rows != len(signals) || sparse.Cols != p.Dim() {
+			t.Fatalf("sparse shape %dx%d, want %dx%d", sparse.Rows, sparse.Cols, len(signals), p.Dim())
 		}
 		back := sparse.ToDense()
-		for i := range dense.Data {
-			if dense.Data[i] != back.Data[i] {
-				t.Fatalf("spread %v: element %d dense %v sparse %v", spread, i, dense.Data[i], back.Data[i])
+		for i, sig := range signals {
+			want := stringVectorize(p.Vocabulary(), p.Encoder().Encode(sig))
+			for j, w := range want {
+				if back.At(i, j) != w {
+					t.Fatalf("spread %v: row %d feature %d: reference %v, sparse %v", spread, i, j, w, back.At(i, j))
+				}
 			}
 		}
-		if sparse.NNZ() >= dense.Rows*dense.Cols/2 {
-			t.Errorf("sparse matrix is not sparse: %d nnz of %d", sparse.NNZ(), dense.Rows*dense.Cols)
+		if sparse.NNZ() >= len(signals)*p.Dim()/2 {
+			t.Errorf("sparse matrix is not sparse: %d nnz of %d", sparse.NNZ(), len(signals)*p.Dim())
 		}
 	}
 }
@@ -192,57 +245,53 @@ func TestEncodeNaNDeterministicClamp(t *testing.T) {
 	}
 }
 
-func TestVectorizeIntoZeroesDirtyDst(t *testing.T) {
-	vocab, err := BuildVocabulary([]string{"aabb"}, VocabConfig{WordSize: 1, MinN: 1, MaxN: 2})
+// TestAppendSparseReusesCleanScratch checks that a vectorizer reused across
+// rows leaks no counts from one row into the next, and that an empty token
+// sequence emits nothing.
+func TestAppendSparseReusesCleanScratch(t *testing.T) {
+	vocab, err := buildVocab([]string{"aabb"}, VocabConfig{WordSize: 1, MinN: 1, MaxN: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := vocab.Vectorize("aabb")
-	dirty := make([]float64, vocab.Size())
-	for i := range dirty {
-		dirty[i] = 99
-	}
-	vocab.VectorizeInto("aabb", dirty)
-	for i := range want {
-		if dirty[i] != want[i] {
-			t.Fatalf("feature %d = %v after dirty reuse, want %v", i, dirty[i], want[i])
+	want := vectorize(vocab, "aabb")
+	tv := vocab.newTokenVectorizer()
+	for pass := 0; pass < 2; pass++ {
+		cols, vals := tv.appendSparse(textTokens("aabb", 1), nil, nil)
+		got := scatter(vocab.Size(), cols, vals)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("pass %d feature %d = %v, want %v", pass, i, got[i], want[i])
+			}
 		}
-	}
-	// Empty text must also clear stale counts.
-	for i := range dirty {
-		dirty[i] = 99
-	}
-	vocab.VectorizeInto("", dirty)
-	for i, v := range dirty {
-		if v != 0 {
-			t.Fatalf("feature %d = %v for empty text, want 0", i, v)
+		if cols, _ := tv.appendSparse(nil, nil, nil); len(cols) != 0 {
+			t.Fatalf("empty sequence emitted columns %v", cols)
 		}
 	}
 }
 
 func TestBuildTokenIndexValidation(t *testing.T) {
-	vocab, err := BuildVocabulary([]string{"abab"}, VocabConfig{WordSize: 1, MinN: 1, MaxN: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := vocab.BuildTokenIndex("a", 2); err == nil {
+	corpus := []string{"abab"}
+	cfg := VocabConfig{WordSize: 1, MinN: 1, MaxN: 2}
+	if _, err := BuildVocabulary(corpus, cfg, "a", 2); err == nil {
 		t.Error("1-letter alphabet accepted")
 	}
-	if err := vocab.BuildTokenIndex("ab", 0); err == nil {
+	if _, err := BuildVocabulary(corpus, cfg, "ab", 0); err == nil {
 		t.Error("zero ranks accepted")
 	}
 	// Gram "b" decodes to rank 1, out of range for a 1-rank encoder.
-	if err := vocab.BuildTokenIndex("ab", 1); err == nil {
+	if _, err := BuildVocabulary(corpus, cfg, "ab", 1); err == nil {
 		t.Error("out-of-range gram rank accepted")
 	}
-	if vocab.HasTokenIndex() {
-		t.Error("failed build left a token index behind")
+	// Gram "c" is no letter of the alphabet.
+	if _, err := BuildVocabulary([]string{"abc"}, cfg, "ab", 2); err == nil {
+		t.Error("gram outside the alphabet accepted")
 	}
-	if err := vocab.BuildTokenIndex("ab", 2); err != nil {
+	v, err := BuildVocabulary(corpus, cfg, "ab", 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !vocab.HasTokenIndex() {
-		t.Error("token index missing after successful build")
+	if len(v.tokIndex) != v.maxN-v.minN+1 {
+		t.Errorf("token index covers %d orders, want %d", len(v.tokIndex), v.maxN-v.minN+1)
 	}
 }
 
@@ -263,10 +312,6 @@ func TestPipelinePersistenceTokenPath(t *testing.T) {
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatal(err)
 	}
-	if !back.Vocabulary().HasTokenIndex() {
-		t.Fatal("reloaded pipeline lost its token index")
-	}
-
 	// Unseen-value signals (nearest-value fallback included) featurize
 	// identically before and after the round-trip, on the token path.
 	fresh := append(tokenTestSignals(8, 100, 360, 20), []float64{-1000, 0.05, 5000, 123.4567})

@@ -7,26 +7,23 @@ import (
 )
 
 // Vocabulary is the set of unique word-aligned n-grams observed in a
-// corpus, with the machinery to turn a text into a normalized bag-of-words
-// feature vector (paper Fig. 6 and §III-C).
+// corpus, with the machinery to turn a token sequence into a normalized
+// bag-of-words CSR row (paper Fig. 6 and §III-C).
 //
-// Alongside the string index it can carry a token index (BuildTokenIndex):
-// an n-gram of encoder rank ids becomes one uint64 key — bit-packed while
-// n·⌈log₂ c⌉ ≤ 64, keyed by a seeded polynomial rolling hash beyond, with
-// every hash hit verified against the stored rank sequence so the token
-// path matches the string path exactly. Lookups then cost one integer map
-// probe instead of a substring allocation + string hash.
+// The grams are kept as strings — the persisted form — and every
+// vocabulary carries, from construction, the token index the featurizer
+// scans: an n-gram of encoder rank ids becomes one uint64 key, bit-packed
+// while n·⌈log₂ c⌉ ≤ 64 and keyed by a seeded polynomial rolling hash
+// beyond, with every hash hit verified against the stored rank sequence so
+// a colliding window can never count as a feature.
 type Vocabulary struct {
 	wordSize int
 	minN     int
 	maxN     int
-	// index maps an n-gram string to its feature position.
-	index map[string]int
 	// grams lists the n-grams in feature order (sorted for determinism).
 	grams []string
 
-	// Token index (nil until BuildTokenIndex). tokIndex[n-minN] resolves
-	// uint64 keys of order n to feature positions.
+	// tokIndex[n-minN] resolves uint64 keys of order n to feature positions.
 	tokIndex []map[uint64]int32
 	// tokGrams[i] is gram i as a rank sequence, used to verify hash hits.
 	tokGrams [][]uint32
@@ -69,8 +66,12 @@ type VocabConfig struct {
 
 // BuildVocabulary scans the corpus with word-aligned windows of size
 // W = w×n for every n in [MinN, MaxN] and collects unique window contents,
-// then applies frequency-based feature selection.
-func BuildVocabulary(corpus []string, cfg VocabConfig) (*Vocabulary, error) {
+// then applies frequency-based feature selection and indexes the surviving
+// grams by token. alphabet and ranks describe the encoder that produced the
+// corpus: its letters and its unique-value count c. The vocabulary's order
+// range ends at the longest gram that survived selection, so a saved
+// vocabulary never declares orders it cannot contain.
+func BuildVocabulary(corpus []string, cfg VocabConfig, alphabet string, ranks int) (*Vocabulary, error) {
 	if cfg.WordSize < 1 {
 		return nil, fmt.Errorf("textrep: word size %d", cfg.WordSize)
 	}
@@ -123,15 +124,19 @@ func BuildVocabulary(corpus []string, cfg VocabConfig) (*Vocabulary, error) {
 	}
 	sort.Strings(grams)
 
-	v := &Vocabulary{
-		wordSize: cfg.WordSize,
-		minN:     cfg.MinN,
-		maxN:     cfg.MaxN,
-		index:    make(map[string]int, len(grams)),
-		grams:    grams,
+	maxN := cfg.MinN
+	for _, g := range grams {
+		maxN = max(maxN, len(g)/cfg.WordSize)
 	}
-	for i, g := range grams {
-		v.index[g] = i
+	return newVocabulary(grams, cfg.WordSize, cfg.MinN, maxN, alphabet, ranks)
+}
+
+// newVocabulary assembles a vocabulary over sorted grams and builds its
+// token index.
+func newVocabulary(grams []string, wordSize, minN, maxN int, alphabet string, ranks int) (*Vocabulary, error) {
+	v := &Vocabulary{wordSize: wordSize, minN: minN, maxN: maxN, grams: grams}
+	if err := v.buildTokenIndex(alphabet, ranks); err != nil {
+		return nil, err
 	}
 	return v, nil
 }
@@ -142,56 +147,6 @@ func (v *Vocabulary) Size() int { return len(v.grams) }
 // Grams returns the features in vector order. The slice is shared; callers
 // must not modify it.
 func (v *Vocabulary) Grams() []string { return v.grams }
-
-// Vectorize counts, for every vocabulary n-gram order, the NON-overlapping
-// word-aligned occurrences in the text (the paper counts "words and
-// non-overlapping occurrences of word sequences"), then normalizes the
-// vector to sum 1 so each feature is an occurrence probability.
-func (v *Vocabulary) Vectorize(text string) []float64 {
-	vec := make([]float64, len(v.grams))
-	v.VectorizeInto(text, vec)
-	return vec
-}
-
-// VectorizeInto vectorizes text into dst (len = Size()). dst is zeroed
-// first, so scratch rows reused across samples cannot leak counts.
-func (v *Vocabulary) VectorizeInto(text string, dst []float64) {
-	vec := dst
-	for i := range vec {
-		vec[i] = 0
-	}
-	if len(text) == 0 {
-		return
-	}
-	var total float64
-	for n := v.minN; n <= v.maxN; n++ {
-		window := v.wordSize * n
-		for off := 0; off+window <= len(text); {
-			gram := text[off : off+window]
-			if i, ok := v.index[gram]; ok {
-				vec[i]++
-				total++
-				off += window // non-overlapping: jump the whole match
-			} else {
-				off += v.wordSize
-			}
-		}
-	}
-	if total > 0 {
-		for i := range vec {
-			vec[i] /= total
-		}
-	}
-}
-
-// VectorizeAll vectorizes every text.
-func (v *Vocabulary) VectorizeAll(texts []string) [][]float64 {
-	out := make([][]float64, len(texts))
-	for i, t := range texts {
-		out[i] = v.Vectorize(t)
-	}
-	return out
-}
 
 // hashBase0 seeds the rolling-hash multiplier (an arbitrary odd 64-bit
 // constant, splitmix64's increment); collisions among vocabulary grams
@@ -205,13 +160,13 @@ const (
 	maxReseeds = 64
 )
 
-// BuildTokenIndex derives the integer-keyed n-gram index from the string
+// buildTokenIndex derives the integer-keyed n-gram index from the string
 // grams. alphabet must be the encoder's alphabet (it decodes words back to
 // rank ids) and ranks the encoder's unique-value count c; every rank id is
 // then < ranks and fits in ⌈log₂ c⌉ bits. Orders whose packed width
 // exceeds 64 bits fall back to a seeded rolling hash whose hits are
 // verified against the stored rank sequences, so lookups stay exact.
-func (v *Vocabulary) BuildTokenIndex(alphabet string, ranks int) error {
+func (v *Vocabulary) buildTokenIndex(alphabet string, ranks int) error {
 	if len(alphabet) < 2 {
 		return fmt.Errorf("textrep: alphabet needs >= 2 letters, got %d", len(alphabet))
 	}
@@ -383,9 +338,6 @@ func (v *Vocabulary) buildFastPaths(ranks int) {
 // multiply moves it into the high bits the probe index uses.
 func mixKey(k uint64) uint64 { return k * hashBase0 }
 
-// HasTokenIndex reports whether BuildTokenIndex has run.
-func (v *Vocabulary) HasTokenIndex() bool { return v.tokIndex != nil }
-
 // tokenKey computes the uint64 key of one rank sequence: exact bit-packing
 // for narrow orders, the rolling polynomial hash otherwise. Ranks are
 // offset by 1 in the hash so a zero rank still advances the state.
@@ -416,12 +368,11 @@ func rankSeqEqual(a, b []uint32) bool {
 	return true
 }
 
-// TokenVectorizer owns the per-goroutine scratch of the token vectorize
-// path: prefix hashes for rolling-hash windows and a dense count row with
-// its touched set for sparse emission. One vectorizer per worker makes the
-// whole batch path allocation-free after warm-up; it is NOT safe for
-// concurrent use.
-type TokenVectorizer struct {
+// tokenVectorizer owns the per-goroutine scratch of the featurizer: prefix
+// hashes for rolling-hash windows and a dense count row with its touched
+// set for sparse emission. One vectorizer per worker makes the whole batch
+// path allocation-free after warm-up; it is NOT safe for concurrent use.
+type tokenVectorizer struct {
 	v      *Vocabulary
 	prefix []uint64 // prefix[i] = hash of tokens[:i]
 	counts []float64
@@ -431,23 +382,20 @@ type TokenVectorizer struct {
 	mask []uint64
 }
 
-// NewTokenVectorizer returns a vectorizer bound to v. BuildTokenIndex must
-// have run.
-func (v *Vocabulary) NewTokenVectorizer() (*TokenVectorizer, error) {
-	if v.tokIndex == nil {
-		return nil, fmt.Errorf("textrep: vocabulary has no token index (call BuildTokenIndex)")
-	}
-	return &TokenVectorizer{
+// newTokenVectorizer returns a vectorizer bound to v.
+func (v *Vocabulary) newTokenVectorizer() *tokenVectorizer {
+	return &tokenVectorizer{
 		v:      v,
 		counts: make([]float64, len(v.grams)),
 		mask:   make([]uint64, (len(v.grams)+63)/64),
-	}, nil
+	}
 }
 
-// scan walks the token sequence with the exact control flow of the string
-// VectorizeInto — per order, word-aligned windows, non-overlapping jumps
-// on match — calling hit for every matched feature. Returns the total
-// match count.
+// scan walks the token sequence order by order with word-aligned windows,
+// counting NON-overlapping occurrences (the paper counts "words and
+// non-overlapping occurrences of word sequences"): a match jumps the whole
+// window, a miss advances one word. It calls hit for every matched feature
+// and returns the total match count.
 //
 // Each populated order runs its fastest exact loop: order 1 indexes the
 // direct rank table, packed orders roll the previous window's key forward
@@ -455,7 +403,7 @@ func (v *Vocabulary) NewTokenVectorizer() (*TokenVectorizer, error) {
 // prefix array in O(1), verifying every table hit against the stored rank
 // sequence so a colliding out-of-vocabulary window can never masquerade
 // as a feature.
-func (tv *TokenVectorizer) scan(tokens []uint32, hit func(int32)) float64 {
+func (tv *tokenVectorizer) scan(tokens []uint32, hit func(int32)) float64 {
 	v := tv.v
 	needPrefix := false
 	for n := max(v.hashedFrom, v.minN); n <= v.maxN; n++ {
@@ -534,30 +482,12 @@ func (tv *TokenVectorizer) scan(tokens []uint32, hit func(int32)) float64 {
 	return total
 }
 
-// VectorizeInto fills dst (len = Size()) with the normalized bag-of-words
-// vector of the token sequence — element-for-element what the string path
-// produces for the corresponding text. dst is zeroed first.
-func (tv *TokenVectorizer) VectorizeInto(tokens []uint32, dst []float64) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	if len(tokens) == 0 {
-		return
-	}
-	total := tv.scan(tokens, func(gi int32) { dst[gi]++ })
-	if total > 0 {
-		for i := range dst {
-			dst[i] /= total
-		}
-	}
-}
-
-// AppendSparse vectorizes the token sequence directly into CSR row form:
-// the row's nonzero (column, value) pairs, columns ascending, are appended
-// to cols/vals and the grown slices returned. Values are the same
-// count/total probabilities the dense path stores; untouched features are
-// simply never emitted.
-func (tv *TokenVectorizer) AppendSparse(tokens []uint32, cols []int32, vals []float64) ([]int32, []float64) {
+// appendSparse vectorizes the token sequence into CSR row form: the row's
+// nonzero (column, value) pairs, columns ascending, are appended to
+// cols/vals and the grown slices returned. Each value is the feature's
+// count over the row's total match count, so a row sums to 1; untouched
+// features are simply never emitted.
+func (tv *tokenVectorizer) appendSparse(tokens []uint32, cols []int32, vals []float64) ([]int32, []float64) {
 	if len(tokens) == 0 {
 		return cols, vals
 	}

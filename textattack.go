@@ -126,30 +126,30 @@ func TrainTextAttack(d *Dataset, cfg TextAttackConfig) (*TextAttack, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := model.Fit(pipe.FeaturesAll(signals).RowSlices(), y); err != nil {
+	if err := model.FitSparse(pipe.FeaturesAllSparse(signals), y); err != nil {
 		return nil, fmt.Errorf("elevprivacy: training: %w", err)
 	}
 	return &TextAttack{pipeline: pipe, labels: enc, model: model}, nil
 }
 
-// PredictLocation infers the location label for one elevation profile.
+// PredictLocation infers the location label for one elevation profile: a
+// batch of one through PredictLocations.
 func (a *TextAttack) PredictLocation(elevations []float64) (string, error) {
 	if len(elevations) == 0 {
 		return "", fmt.Errorf("elevprivacy: empty elevation profile")
 	}
-	idx, err := a.model.Predict(a.pipeline.Features(elevations))
+	labels, err := a.PredictLocations([][]float64{elevations})
 	if err != nil {
 		return "", err
 	}
-	return a.labels.Decode(idx)
+	return labels[0], nil
 }
 
 // PredictLocations infers the location label for a batch of elevation
 // profiles in one pass — the serving-path shape for high-traffic
 // inference. Profiles are tokenized and featurized straight into a CSR
-// matrix and scored with one PredictBatchSparse call when the model
-// supports it (all three text classifiers do); the dense PredictBatch
-// path remains as the fallback and returns identical labels.
+// matrix and scored with one PredictBatchSparse call; every row's label
+// depends only on its own profile.
 func (a *TextAttack) PredictLocations(profiles [][]float64) ([]string, error) {
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("elevprivacy: empty batch")
@@ -159,13 +159,7 @@ func (a *TextAttack) PredictLocations(profiles [][]float64) ([]string, error) {
 			return nil, fmt.Errorf("elevprivacy: empty elevation profile %d", i)
 		}
 	}
-	var preds []int
-	var err error
-	if sc, ok := a.model.(ml.SparseBatchClassifier); ok {
-		preds, err = sc.PredictBatchSparse(a.pipeline.FeaturesAllSparse(profiles))
-	} else {
-		preds, err = a.model.PredictBatch(a.pipeline.FeaturesAll(profiles))
-	}
+	preds, err := a.model.PredictBatchSparse(a.pipeline.FeaturesAllSparse(profiles))
 	if err != nil {
 		return nil, err
 	}
@@ -202,9 +196,7 @@ func CrossValidateText(d *Dataset, cfg TextAttackConfig, folds int) (Metrics, er
 	if err != nil {
 		return Metrics{}, err
 	}
-	// Featurize once into CSR form: SVM and MLP folds train and score
-	// through their native sparse paths (bit-identical to dense); only the
-	// forest triggers the lazy densify inside CrossValidateSparse.
+	// Featurize once into CSR form; every fold gathers its rows from it.
 	return eval.CrossValidateSparse(pipe.FeaturesAllSparse(signals), y, enc.Len(), folds, cfg.Seed,
 		func() (ml.Classifier, error) { return cfg.newClassifier(enc.Len()) })
 }
