@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet staticcheck test test-short check bench bench-train bench-full experiments experiments-quick smoke-resume obs-smoke orch-smoke shard-smoke ingest-smoke fleet-smoke clean
+.PHONY: all build vet staticcheck test test-short check bench bench-full experiments experiments-quick smoke-resume obs-smoke orch-smoke shard-smoke ingest-smoke fleet-smoke clean
 
 all: build vet test
 
@@ -97,20 +97,11 @@ fleet-smoke:
 	sh scripts/fleet_smoke.sh
 
 ## bench runs every experiment benchmark at smoke scale plus the substrate
-## micro-benchmarks, then the training, serving-tier, and ingestion
-## harnesses, which write BENCH_train.json / BENCH_serving.json /
-## BENCH_ingest.json.
+## micro-benchmarks, then elevbench over all of its workloads (the live
+## TM-1 path, the mining sweep and TM-1 training; cmd/elevbench/README.md).
 bench:
 	$(GO) test -bench=. -benchmem ./...
-	$(GO) run ./cmd/trainbench -out BENCH_train.json
-	$(GO) run ./cmd/servebench -out BENCH_serving.json
-	$(GO) run ./cmd/ingestbench -out BENCH_ingest.json
-
-## bench-train runs only the training-path harness: MLP FitSparse on the
-## float64 and float32 paths (with their probability agreement) and SVM
-## FitSparse, writing BENCH_train.json.
-bench-train:
-	$(GO) run ./cmd/trainbench -out BENCH_train.json
+	bash cmd/elevbench/run.sh
 
 ## bench-full runs the experiment benchmarks at the laptop scale that
 ## EXPERIMENTS.md records (tens of minutes).

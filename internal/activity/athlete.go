@@ -23,9 +23,6 @@ type Activity struct {
 	Elevations []float64
 }
 
-// Bounds returns the activity's tight rectangle (paper Fig. 3).
-func (a *Activity) Bounds() (geo.BBox, bool) { return a.Path.Bounds() }
-
 // AthleteConfig tunes the simulated athlete's habits.
 type AthleteConfig struct {
 	// FavoriteRoutes is how many favorite courses the athlete keeps per
@@ -218,31 +215,4 @@ func (s *regionSim) nextActivity(name string, cfg AthleteConfig, rng *rand.Rand)
 		Path:       course,
 		Elevations: elevs,
 	}, nil
-}
-
-// AverageOverlapRatio computes the paper's dataset-quality metric: the mean
-// intersection-over-union of tight rectangles across all same-region
-// activity pairs (§III-A1). Activities without a valid rectangle are
-// skipped.
-func AverageOverlapRatio(acts []Activity) float64 {
-	byRegion := map[string][]geo.BBox{}
-	for i := range acts {
-		if b, ok := acts[i].Bounds(); ok {
-			byRegion[acts[i].Region] = append(byRegion[acts[i].Region], b)
-		}
-	}
-	var sum float64
-	var pairs int
-	for _, boxes := range byRegion {
-		for i := 0; i < len(boxes); i++ {
-			for j := i + 1; j < len(boxes); j++ {
-				sum += boxes[i].IoU(boxes[j])
-				pairs++
-			}
-		}
-	}
-	if pairs == 0 {
-		return 0
-	}
-	return sum / float64(pairs)
 }

@@ -122,13 +122,6 @@ func (d *Dataset) Filter(labels ...string) *Dataset {
 	return out
 }
 
-// Shuffle permutes sample order deterministically under rng.
-func (d *Dataset) Shuffle(rng *rand.Rand) {
-	rng.Shuffle(len(d.Samples), func(i, j int) {
-		d.Samples[i], d.Samples[j] = d.Samples[j], d.Samples[i]
-	})
-}
-
 // Balanced returns a new dataset with exactly perClass random samples of
 // every label, mirroring the paper's bias mitigation ("we use the same
 // sample size for each class"). Labels with fewer than perClass samples are

@@ -9,6 +9,7 @@ import (
 	"elevprivacy/internal/activity"
 	"elevprivacy/internal/geo"
 	"elevprivacy/internal/segments"
+	"elevprivacy/internal/terrain"
 )
 
 // tinyDataset builds a deterministic dataset with the given per-label sizes.
@@ -149,16 +150,24 @@ func TestSplitStratifiedTinyClassesKeepTrainSample(t *testing.T) {
 	}
 }
 
-func TestShuffleDeterministic(t *testing.T) {
-	d1 := tinyDataset(map[string]int{"a": 5, "b": 5})
-	d2 := tinyDataset(map[string]int{"a": 5, "b": 5})
-	d1.Shuffle(rand.New(rand.NewSource(9)))
-	d2.Shuffle(rand.New(rand.NewSource(9)))
-	for i := range d1.Samples {
-		if d1.Samples[i].ID != d2.Samples[i].ID || d1.Samples[i].Label != d2.Samples[i].Label {
-			t.Fatal("same-seed shuffles diverge")
-		}
+// TestAthleteOverlapNearPaper checks the headline dataset property: the
+// paper measures ~35 % average same-region route overlap. The simulator
+// must land in a band around that.
+func TestAthleteOverlapNearPaper(t *testing.T) {
+	regions := terrain.AthleteWorld()
+	counts := map[string]int{
+		"Washington DC": 40,
+		"Orlando":       30,
 	}
+	acts, err := activity.SimulateAthlete(regions, counts, activity.DefaultAthleteConfig(), 1234)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratio := FromActivities(acts).AverageOverlapRatio()
+	if ratio < 0.15 || ratio > 0.60 {
+		t.Errorf("average overlap ratio = %f, want within [0.15, 0.60] (paper: 0.35)", ratio)
+	}
+	t.Logf("average overlap ratio: %.3f (paper reports 0.35)", ratio)
 }
 
 func TestFromActivitiesAndMined(t *testing.T) {

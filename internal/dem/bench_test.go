@@ -31,20 +31,8 @@ func BenchmarkElevationAt(b *testing.B) {
 	}
 }
 
-func BenchmarkSampleAlong100(b *testing.B) {
-	r := benchRaster(b)
-	path := geo.Path{{Lat: 38.2, Lng: -77.8}, {Lat: 38.8, Lng: -77.2}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.SampleAlong(path, 100); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkHGTWrite(b *testing.B) {
-	tile, err := NewTile(38, -78, SRTM3Size)
+	tile, err := NewTile(38, -78, srtm3)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -52,7 +40,7 @@ func BenchmarkHGTWrite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		buf.Grow(2 * SRTM3Size * SRTM3Size)
+		buf.Grow(2 * srtm3 * srtm3)
 		if err := tile.WriteHGT(&buf); err != nil {
 			b.Fatal(err)
 		}
@@ -60,7 +48,7 @@ func BenchmarkHGTWrite(b *testing.B) {
 }
 
 func BenchmarkHGTRead(b *testing.B) {
-	tile, err := NewTile(38, -78, SRTM3Size)
+	tile, err := NewTile(38, -78, srtm3)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,13 +17,6 @@ import (
 // overlap neighbouring tiles by one sample. The tile's name encodes the
 // latitude/longitude of its SOUTH-WEST corner, e.g. N38W078.hgt.
 
-const (
-	// SRTM3Size is the per-side sample count of a 3-arc-second tile.
-	SRTM3Size = 1201
-	// SRTM1Size is the per-side sample count of a 1-arc-second tile.
-	SRTM1Size = 3601
-)
-
 // Tile is a single SRTM tile: a Raster whose bounds are an integer-degree
 // 1°×1° cell.
 type Tile struct {
@@ -34,7 +27,7 @@ type Tile struct {
 }
 
 // NewTile allocates an empty (zero elevation) tile with the given per-side
-// sample count (use SRTM3Size or SRTM1Size).
+// sample count (1201 for SRTM3, 3601 for SRTM1).
 func NewTile(swLat, swLng, size int) (*Tile, error) {
 	if swLat < -90 || swLat > 89 || swLng < -180 || swLng > 179 {
 		return nil, fmt.Errorf("dem: tile corner (%d,%d) out of range", swLat, swLng)

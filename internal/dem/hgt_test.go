@@ -74,13 +74,13 @@ func TestTileNameRoundTripProperty(t *testing.T) {
 }
 
 func TestHGTRoundTrip(t *testing.T) {
-	tile, err := NewTile(38, -78, SRTM3Size)
+	tile, err := NewTile(38, -78, srtm3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	for row := 0; row < SRTM3Size; row++ {
-		for col := 0; col < SRTM3Size; col++ {
+	for row := 0; row < srtm3; row++ {
+		for col := 0; col < srtm3; col++ {
 			tile.Set(row, col, int16(rng.Intn(4000)-100))
 		}
 	}
@@ -90,8 +90,8 @@ func TestHGTRoundTrip(t *testing.T) {
 	if err := tile.WriteHGT(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() != 2*SRTM3Size*SRTM3Size {
-		t.Fatalf("hgt payload = %d bytes, want %d", buf.Len(), 2*SRTM3Size*SRTM3Size)
+	if buf.Len() != 2*srtm3*srtm3 {
+		t.Fatalf("hgt payload = %d bytes, want %d", buf.Len(), 2*srtm3*srtm3)
 	}
 
 	back, err := ReadHGT(&buf, 38, -78)
@@ -101,12 +101,11 @@ func TestHGTRoundTrip(t *testing.T) {
 	if back.SWLat != 38 || back.SWLng != -78 {
 		t.Errorf("corner = (%d,%d), want (38,-78)", back.SWLat, back.SWLng)
 	}
-	rows, cols := back.Shape()
-	if rows != SRTM3Size || cols != SRTM3Size {
-		t.Fatalf("shape = %dx%d", rows, cols)
+	if back.rows != srtm3 || back.cols != srtm3 {
+		t.Fatalf("shape = %dx%d", back.rows, back.cols)
 	}
-	for row := 0; row < SRTM3Size; row += 97 {
-		for col := 0; col < SRTM3Size; col += 89 {
+	for row := 0; row < srtm3; row += 97 {
+		for col := 0; col < srtm3; col += 89 {
 			if back.At(row, col) != tile.At(row, col) {
 				t.Fatalf("sample (%d,%d) = %d, want %d", row, col, back.At(row, col), tile.At(row, col))
 			}
@@ -162,13 +161,16 @@ func TestTileGeographicAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := tile.Bounds()
+	b := tile.bounds
 	wantSW := geo.LatLng{Lat: 38, Lng: -78}
 	wantNE := geo.LatLng{Lat: 39, Lng: -77}
 	if b.SW != wantSW || b.NE != wantNE {
 		t.Errorf("bounds = %v, want [%v %v]", b, wantSW, wantNE)
 	}
 }
+
+// srtm3 is the per-side sample count of a 3-arc-second SRTM tile.
+const srtm3 = 1201
 
 // mod returns the non-negative remainder of a mod n.
 func mod(a, n int) int {

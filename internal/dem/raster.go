@@ -1,10 +1,11 @@
-// Package dem provides digital-elevation-model rasters: an in-memory grid
-// with bilinear sampling, the SRTM .hgt tile wire format, and a mosaic that
-// stitches 1°×1° tiles into a queryable elevation source.
+// Package dem provides digital-elevation-model rasters: the Source
+// interface that the elevation service samples, an in-memory grid with
+// bilinear sampling, and the SRTM .hgt tile wire format.
 //
 // The paper's pipeline reads elevation through the Google Maps Elevation
-// API; this package is the ground truth that our simulated API serves,
-// stored and exchanged in the same raster format real SRTM data ships in.
+// API. The simulated API samples the procedural terrain directly through
+// Source; Raster and the HGT codec are the stand-in for SRTM data, which
+// the terrain can be rasterized into.
 package dem
 
 import (
@@ -20,6 +21,14 @@ const Void int16 = -32768
 
 // ErrOutOfBounds is returned when a query point lies outside a raster.
 var ErrOutOfBounds = errors.New("dem: point outside raster coverage")
+
+// Source is anything that can answer point elevation queries. Raster and
+// the procedural terrain implement it.
+type Source interface {
+	// ElevationAt returns the elevation in meters at p, or an error when p
+	// is outside coverage.
+	ElevationAt(p geo.LatLng) (float64, error)
+}
 
 // Raster is a regular elevation grid over a geographic bounding box.
 // Row 0 is the NORTHERNMOST row, matching SRTM file order; column 0 is the
@@ -46,12 +55,6 @@ func NewRaster(bounds geo.BBox, rows, cols int) (*Raster, error) {
 		data:   make([]int16, rows*cols),
 	}, nil
 }
-
-// Bounds returns the geographic coverage of the raster.
-func (r *Raster) Bounds() geo.BBox { return r.bounds }
-
-// Shape returns (rows, cols).
-func (r *Raster) Shape() (rows, cols int) { return r.rows, r.cols }
 
 // At returns the raw sample at (row, col). Row 0 is the northern edge.
 func (r *Raster) At(row, col int) int16 {
@@ -137,46 +140,6 @@ func (r *Raster) ElevationAt(p geo.LatLng) (float64, error) {
 	top := fill(v00)*(1-fx) + fill(v01)*fx
 	bot := fill(v10)*(1-fx) + fill(v11)*fx
 	return top*(1-fy) + bot*fy, nil
-}
-
-// SampleAlong resamples the path to n evenly spaced points and returns their
-// elevations, mirroring what the Elevation API's path sampling does.
-func (r *Raster) SampleAlong(path geo.Path, n int) ([]float64, error) {
-	pts := path.Resample(n)
-	if pts == nil {
-		return nil, errors.New("dem: empty path or non-positive sample count")
-	}
-	out := make([]float64, 0, n)
-	for _, p := range pts {
-		e, err := r.ElevationAt(p)
-		if err != nil {
-			return nil, fmt.Errorf("dem: sampling %v: %w", p, err)
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
-// MinMax returns the smallest and largest non-void samples. ok is false when
-// every sample is void.
-func (r *Raster) MinMax() (minV, maxV int16, ok bool) {
-	minV, maxV = math.MaxInt16, math.MinInt16
-	for _, v := range r.data {
-		if v == Void {
-			continue
-		}
-		ok = true
-		if v < minV {
-			minV = v
-		}
-		if v > maxV {
-			maxV = v
-		}
-	}
-	if !ok {
-		return 0, 0, false
-	}
-	return minV, maxV, true
 }
 
 func clampInt16(v float64) int16 {

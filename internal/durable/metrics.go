@@ -24,12 +24,6 @@ import "elevprivacy/internal/obs"
 //	elevpriv_pool_queue_depth             undispatched units right now
 //	elevpriv_pool_in_flight               units executing right now
 //	elevpriv_pool_unit_seconds            per-unit wall time
-//
-// Runner series mirror the pool's for the keyed, journaled suite loop:
-//
-//	elevpriv_runner_units_completed_total
-//	elevpriv_runner_units_failed_total
-//	elevpriv_runner_units_restored_total
 var (
 	journalAppends  = obs.GetCounter("elevpriv_journal_appends_total")
 	journalSyncs    = obs.GetCounter("elevpriv_journal_syncs_total")
@@ -43,8 +37,4 @@ var (
 	poolQueueDepth = obs.GetGauge("elevpriv_pool_queue_depth")
 	poolInFlight   = obs.GetGauge("elevpriv_pool_in_flight")
 	poolUnitSecs   = obs.GetHistogram("elevpriv_pool_unit_seconds", nil)
-
-	runnerCompleted = obs.GetCounter("elevpriv_runner_units_completed_total")
-	runnerFailed    = obs.GetCounter("elevpriv_runner_units_failed_total")
-	runnerRestored  = obs.GetCounter("elevpriv_runner_units_restored_total")
 )

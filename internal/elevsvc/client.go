@@ -92,21 +92,6 @@ func (c *Client) ElevationAlongPath(ctx context.Context, path geo.Path, samples 
 	return out, nil
 }
 
-// ElevationAt returns the elevation of a single point.
-func (c *Client) ElevationAt(ctx context.Context, p geo.LatLng) (float64, error) {
-	q := url.Values{}
-	q.Set("lat", strconv.FormatFloat(p.Lat, 'f', -1, 64))
-	q.Set("lng", strconv.FormatFloat(p.Lng, 'f', -1, 64))
-	resp, err := c.get(ctx, "/v1/elevation/point", q, q.Encode())
-	if err != nil {
-		return 0, err
-	}
-	if len(resp.Results) != 1 {
-		return 0, fmt.Errorf("elevsvc: service returned %d results, want 1", len(resp.Results))
-	}
-	return resp.Results[0].Elevation, nil
-}
-
 // get performs the request and decodes the envelope, mapping non-OK
 // statuses to *APIError. key is the request's shard identity: pool-backed
 // clients hash it to pick the endpoint, single-endpoint clients ignore it.

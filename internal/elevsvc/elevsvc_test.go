@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -44,6 +46,22 @@ func newTestServer(t *testing.T, src dem.Source) (*httptest.Server, *Client) {
 	return srv, NewClient(srv.URL, srv.Client())
 }
 
+// pointQuery asks the service for the elevation of one point through the
+// client's request path.
+func pointQuery(ctx context.Context, c *Client, p geo.LatLng) (float64, error) {
+	q := url.Values{}
+	q.Set("lat", strconv.FormatFloat(p.Lat, 'f', -1, 64))
+	q.Set("lng", strconv.FormatFloat(p.Lng, 'f', -1, 64))
+	resp, err := c.get(ctx, "/v1/elevation/point", q, q.Encode())
+	if err != nil {
+		return 0, err
+	}
+	if len(resp.Results) != 1 {
+		return 0, fmt.Errorf("service returned %d results, want 1", len(resp.Results))
+	}
+	return resp.Results[0].Elevation, nil
+}
+
 func TestPathSamplingEndToEnd(t *testing.T) {
 	_, client := newTestServer(t, testSource{})
 
@@ -69,7 +87,7 @@ func TestPathSamplingEndToEnd(t *testing.T) {
 
 func TestPointQueryEndToEnd(t *testing.T) {
 	_, client := newTestServer(t, testSource{})
-	got, err := client.ElevationAt(context.Background(), geo.LatLng{Lat: 5, Lng: 3})
+	got, err := pointQuery(context.Background(), client, geo.LatLng{Lat: 5, Lng: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +139,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 
 func TestOutOfCoverageReportsDataNotAvailable(t *testing.T) {
 	_, client := newTestServer(t, testSource{})
-	_, err := client.ElevationAt(context.Background(), geo.LatLng{Lat: 85, Lng: 0})
+	_, err := pointQuery(context.Background(), client, geo.LatLng{Lat: 85, Lng: 0})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("err = %v, want *APIError", err)
@@ -136,7 +154,7 @@ func TestOutOfCoverageReportsDataNotAvailable(t *testing.T) {
 
 func TestInternalErrorsAreOpaque(t *testing.T) {
 	_, client := newTestServer(t, failSource{})
-	_, err := client.ElevationAt(context.Background(), geo.LatLng{Lat: 1, Lng: 1})
+	_, err := pointQuery(context.Background(), client, geo.LatLng{Lat: 1, Lng: 1})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("err = %v, want *APIError", err)
@@ -159,7 +177,7 @@ func TestNonJSONErrorBodyBecomesAPIError(t *testing.T) {
 	defer srv.Close()
 
 	client := NewClient(srv.URL, srv.Client())
-	_, err := client.ElevationAt(context.Background(), geo.LatLng{Lat: 1, Lng: 1})
+	_, err := pointQuery(context.Background(), client, geo.LatLng{Lat: 1, Lng: 1})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("err = %v, want *APIError", err)
@@ -207,7 +225,7 @@ func TestClientContextCancellation(t *testing.T) {
 	_ = srv
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := client.ElevationAt(ctx, geo.LatLng{Lat: 1, Lng: 1})
+	_, err := pointQuery(ctx, client, geo.LatLng{Lat: 1, Lng: 1})
 	if err == nil {
 		t.Fatal("cancelled context should fail")
 	}
@@ -352,7 +370,7 @@ func TestClientNormalizesTrailingSlash(t *testing.T) {
 	t.Cleanup(srv.Close)
 	client := NewClient(srv.URL+"/", srv.Client())
 
-	if _, err := client.ElevationAt(context.Background(), geo.LatLng{Lat: 10, Lng: 10}); err != nil {
+	if _, err := pointQuery(context.Background(), client, geo.LatLng{Lat: 10, Lng: 10}); err != nil {
 		t.Fatalf("point query through slash-suffixed base URL: %v", err)
 	}
 }

@@ -34,7 +34,9 @@ func (b blockSource) ElevationAt(geo.LatLng) (float64, error) {
 
 func TestHealthzBypassesShedding(t *testing.T) {
 	src := blockSource{started: make(chan struct{}, 1), release: make(chan struct{})}
-	srv := httptest.NewServer(NewServer(src, WithLogf(t.Logf), WithMaxInFlight(1)).Handler())
+	es := NewServer(src, WithLogf(t.Logf))
+	es.maxInFlight = 1
+	srv := httptest.NewServer(es.Handler())
 	defer srv.Close()
 
 	var wg sync.WaitGroup
@@ -103,8 +105,9 @@ func TestPanickingSourceQuarantinesRequest(t *testing.T) {
 
 func TestRequestTimeoutBoundsSlowSource(t *testing.T) {
 	src := blockSource{started: make(chan struct{}, 1), release: make(chan struct{})}
-	srv := httptest.NewServer(NewServer(src, WithLogf(t.Logf),
-		WithRequestTimeout(50*time.Millisecond)).Handler())
+	es := NewServer(src, WithLogf(t.Logf))
+	es.reqTimeout = 50 * time.Millisecond
+	srv := httptest.NewServer(es.Handler())
 	defer srv.Close()
 	defer close(src.release) // unblock the abandoned handler before Close waits on it
 

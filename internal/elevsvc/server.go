@@ -65,7 +65,6 @@ type Server struct {
 	maxInFlight int
 	reqTimeout  time.Duration
 	pprof       bool
-	cacheBytes  int64
 	shardIndex  int
 	shardCount  int
 
@@ -81,25 +80,9 @@ func WithLogf(logf func(string, ...any)) Option {
 	return func(s *Server) { s.logf = logf }
 }
 
-// WithMaxInFlight overrides the load-shedding bound; 0 disables shedding.
-func WithMaxInFlight(n int) Option {
-	return func(s *Server) { s.maxInFlight = n }
-}
-
-// WithRequestTimeout overrides the per-request deadline; 0 disables it.
-func WithRequestTimeout(d time.Duration) Option {
-	return func(s *Server) { s.reqTimeout = d }
-}
-
 // WithPprof mounts net/http/pprof under /debug/pprof/.
 func WithPprof(enabled bool) Option {
 	return func(s *Server) { s.pprof = enabled }
-}
-
-// WithProfileCacheBytes overrides the path-profile cache budget (default
-// 64 MiB); 0 disables the cache entirely.
-func WithProfileCacheBytes(n int64) Option {
-	return func(s *Server) { s.cacheBytes = n }
 }
 
 // WithShard tags this instance as shard index of count in a sharded tier;
@@ -114,6 +97,9 @@ func obsErrorf(format string, args ...any) {
 	obs.DefaultLogger().Errorf(format, args...)
 }
 
+// profileCacheBytes is the path-profile cache budget.
+const profileCacheBytes = 64 << 20
+
 // NewServer creates a Server over the given elevation source.
 func NewServer(source dem.Source, opts ...Option) *Server {
 	s := &Server{
@@ -121,13 +107,10 @@ func NewServer(source dem.Source, opts ...Option) *Server {
 		logf:        obsErrorf,
 		maxInFlight: DefaultMaxInFlight,
 		reqTimeout:  DefaultRequestTimeout,
-		cacheBytes:  64 << 20,
+		cache:       serving.NewCache(profileCacheBytes, serving.WithCacheMetrics("elev_profiles")),
 	}
 	for _, o := range opts {
 		o(s)
-	}
-	if s.cacheBytes > 0 {
-		s.cache = serving.NewCache(s.cacheBytes, serving.WithCacheMetrics("elev_profiles"))
 	}
 	return s
 }
@@ -177,12 +160,6 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(path) == 0 {
 		writeStatus(w, http.StatusBadRequest, "INVALID_REQUEST", "empty path")
-		return
-	}
-
-	if s.cache == nil {
-		code, resp := s.profile(path, samples)
-		writeJSON(w, code, resp)
 		return
 	}
 

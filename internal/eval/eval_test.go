@@ -376,40 +376,6 @@ func TestPlanRoundsValidation(t *testing.T) {
 	}
 }
 
-func TestPerClassReport(t *testing.T) {
-	cm, err := NewConfusionMatrix(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Class 1: TP=8 FN=2 FP=4 TN=6.
-	for i := 0; i < 8; i++ {
-		_ = cm.Add(1, 1)
-	}
-	for i := 0; i < 2; i++ {
-		_ = cm.Add(1, 0)
-	}
-	for i := 0; i < 4; i++ {
-		_ = cm.Add(0, 1)
-	}
-	for i := 0; i < 6; i++ {
-		_ = cm.Add(0, 0)
-	}
-	reports := cm.PerClass()
-	if len(reports) != 2 {
-		t.Fatalf("reports = %d", len(reports))
-	}
-	r1 := reports[1]
-	if r1.Support != 10 {
-		t.Errorf("support = %d", r1.Support)
-	}
-	if math.Abs(r1.Precision-8.0/12) > 1e-12 || math.Abs(r1.Recall-0.8) > 1e-12 {
-		t.Errorf("class 1 report = %+v", r1)
-	}
-	if math.Abs(r1.Specificity-0.6) > 1e-12 {
-		t.Errorf("class 1 specificity = %f", r1.Specificity)
-	}
-}
-
 func TestTopConfusions(t *testing.T) {
 	cm, err := NewConfusionMatrix(3)
 	if err != nil {

@@ -178,42 +178,6 @@ func MeanMetrics(ms []Metrics) Metrics {
 	return out
 }
 
-// ClassReport is the per-class breakdown of a confusion matrix.
-type ClassReport struct {
-	// Class is the class index.
-	Class int
-	// Support is the number of actual samples of the class.
-	Support int
-	// Precision, Recall, F1, Specificity are the per-class scores.
-	Precision   float64
-	Recall      float64
-	F1          float64
-	Specificity float64
-}
-
-// PerClass returns one report per class, in class order.
-func (cm *ConfusionMatrix) PerClass() []ClassReport {
-	out := make([]ClassReport, 0, cm.classes)
-	for c := 0; c < cm.classes; c++ {
-		tp, fp, fn, tn := cm.perClass(c)
-		r := ClassReport{Class: c, Support: tp + fn}
-		if tp+fp > 0 {
-			r.Precision = float64(tp) / float64(tp+fp)
-		}
-		if tp+fn > 0 {
-			r.Recall = float64(tp) / float64(tp+fn)
-		}
-		if denom := 2*tp + fp + fn; denom > 0 {
-			r.F1 = 2 * float64(tp) / float64(denom)
-		}
-		if tn+fp > 0 {
-			r.Specificity = float64(tn) / float64(tn+fp)
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
 // TopConfusions returns the n most frequent off-diagonal (actual,
 // predicted) pairs, most frequent first.
 func (cm *ConfusionMatrix) TopConfusions(n int) []Confusion {

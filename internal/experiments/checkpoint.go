@@ -64,8 +64,7 @@ type SuiteResult struct {
 // so the classic CLI output stays byte-identical to the pre-orchestrator
 // implementation. The scheduler supplies the durability contract —
 // journaled units restore instead of re-running, panics quarantine, drains
-// stop between units — that the sequential durable.Runner used to provide
-// here directly.
+// stop between units.
 func RunSuite(ctx context.Context, cfg Config, runners []Runner, journal *durable.Journal,
 	drain <-chan struct{}, emit func(SuiteResult)) (*durable.Report, error) {
 

@@ -42,11 +42,6 @@ func (b BBox) Contains(p LatLng) bool {
 		p.Lng >= b.SW.Lng && p.Lng <= b.NE.Lng
 }
 
-// ContainsBox reports whether o lies entirely inside b.
-func (b BBox) ContainsBox(o BBox) bool {
-	return b.Contains(o.SW) && b.Contains(o.NE)
-}
-
 // ContainsPath reports whether every vertex of t lies inside b. This is the
 // encapsulation test ExploreSegments applies: a segment straddling a region
 // boundary belongs to no region.
@@ -111,17 +106,6 @@ func (b BBox) Expand(latMargin, lngMargin float64) BBox {
 		SW: LatLng{Lat: b.SW.Lat - latMargin, Lng: b.SW.Lng - lngMargin},
 		NE: LatLng{Lat: b.NE.Lat + latMargin, Lng: b.NE.Lng + lngMargin},
 	}
-}
-
-// WidthMeters returns the east-west extent measured at the box's mid-latitude.
-func (b BBox) WidthMeters() float64 {
-	mid := (b.SW.Lat + b.NE.Lat) / 2
-	return LatLng{Lat: mid, Lng: b.SW.Lng}.DistanceMeters(LatLng{Lat: mid, Lng: b.NE.Lng})
-}
-
-// HeightMeters returns the north-south extent.
-func (b BBox) HeightMeters() float64 {
-	return LatLng{Lat: b.SW.Lat, Lng: b.SW.Lng}.DistanceMeters(LatLng{Lat: b.NE.Lat, Lng: b.SW.Lng})
 }
 
 // Grid splits the box into rows×cols disjoint cells, row-major from the

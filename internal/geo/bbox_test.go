@@ -2,7 +2,6 @@ package geo
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -82,7 +81,7 @@ func TestBBoxUnionContainsBothProperty(t *testing.T) {
 			LatLng{Lat: math.Mod(b1, 80), Lng: math.Mod(b2, 170)},
 			LatLng{Lat: math.Mod(b3, 80), Lng: math.Mod(b4, 170)})
 		u := a.Union(b)
-		return u.ContainsBox(a) && u.ContainsBox(b)
+		return containsBox(u, a) && containsBox(u, b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -134,7 +133,7 @@ func TestBBoxCenterAndExpand(t *testing.T) {
 	if e != box(-1, -2, 11, 22) {
 		t.Errorf("Expand = %v", e)
 	}
-	if !e.ContainsBox(b) {
+	if !containsBox(e, b) {
 		t.Error("expanded box must contain original")
 	}
 }
@@ -149,7 +148,7 @@ func TestBBoxGrid(t *testing.T) {
 		}
 		var area float64
 		for _, c := range cells {
-			if !b.ContainsBox(c) {
+			if !containsBox(b, c) {
 				t.Errorf("cell %v outside parent", c)
 			}
 			area += c.AreaDeg2()
@@ -180,90 +179,5 @@ func TestBBoxGrid(t *testing.T) {
 	})
 }
 
-func TestBBoxMeterExtents(t *testing.T) {
-	b := box(40, -74, 41, -73)
-	h := b.HeightMeters()
-	if !almostEqual(h, 111195, 200) {
-		t.Errorf("HeightMeters = %f, want ~111195", h)
-	}
-	w := b.WidthMeters()
-	// One degree of longitude at 40.5N is ~cos(40.5)*111.3 km ~ 84.6 km.
-	if !almostEqual(w, 84600, 500) {
-		t.Errorf("WidthMeters = %f, want ~84600", w)
-	}
-}
-
-func TestSimplifyStraightLine(t *testing.T) {
-	// Collinear points collapse to the endpoints.
-	var p Path
-	for i := 0; i <= 10; i++ {
-		p = append(p, LatLng{Lat: 40 + float64(i)*0.001, Lng: -74})
-	}
-	s := p.Simplify(1)
-	if len(s) != 2 {
-		t.Errorf("straight line simplified to %d points, want 2", len(s))
-	}
-	if s[0] != p[0] || s[1] != p[10] {
-		t.Errorf("endpoints lost: %v", s)
-	}
-}
-
-func TestSimplifyKeepsSalientCorner(t *testing.T) {
-	// An L-shaped path must keep its corner.
-	corner := LatLng{Lat: 40.01, Lng: -74}
-	p := Path{
-		{Lat: 40, Lng: -74},
-		{Lat: 40.005, Lng: -74},
-		corner,
-		{Lat: 40.01, Lng: -73.995},
-		{Lat: 40.01, Lng: -73.99},
-	}
-	s := p.Simplify(5)
-	found := false
-	for _, q := range s {
-		if q == corner {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("corner dropped: %v", s)
-	}
-	if len(s) >= len(p) {
-		t.Errorf("nothing simplified: %d -> %d", len(p), len(s))
-	}
-}
-
-func TestSimplifyToleranceMonotonic(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	p := Path{{Lat: 40, Lng: -74}}
-	cur := p[0]
-	for i := 0; i < 200; i++ {
-		cur = cur.Destination(rng.Float64()*360, 40)
-		p = append(p, cur)
-	}
-	prev := len(p) + 1
-	for _, tol := range []float64{1, 10, 50, 200} {
-		n := len(p.Simplify(tol))
-		if n > prev {
-			t.Errorf("tolerance %f kept %d points, more than looser %d", tol, n, prev)
-		}
-		prev = n
-	}
-}
-
-func TestSimplifyDegenerate(t *testing.T) {
-	short := Path{{Lat: 1, Lng: 1}, {Lat: 2, Lng: 2}}
-	if got := short.Simplify(10); len(got) != 2 {
-		t.Errorf("2-point path changed: %v", got)
-	}
-	p := Path{{Lat: 1, Lng: 1}, {Lat: 1.5, Lng: 1.7}, {Lat: 2, Lng: 2}}
-	if got := p.Simplify(0); len(got) != 3 {
-		t.Errorf("zero tolerance should keep everything, got %d", len(got))
-	}
-	// Duplicate endpoints (zero-length chord).
-	loopish := Path{{Lat: 1, Lng: 1}, {Lat: 1.01, Lng: 1.01}, {Lat: 1, Lng: 1}}
-	got := loopish.Simplify(1)
-	if len(got) < 2 {
-		t.Errorf("loop collapsed: %v", got)
-	}
-}
+// containsBox reports whether o lies entirely inside b.
+func containsBox(b, o BBox) bool { return b.Contains(o.SW) && b.Contains(o.NE) }

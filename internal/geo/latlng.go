@@ -76,22 +76,6 @@ func (p LatLng) Destination(bearingDegrees, distanceMeters float64) LatLng {
 	return LatLng{Lat: degrees(lat2), Lng: normalizeLng(degrees(lng2))}
 }
 
-// Midpoint returns the geographic midpoint of p and q.
-func (p LatLng) Midpoint(q LatLng) LatLng {
-	lat1 := radians(p.Lat)
-	lat2 := radians(q.Lat)
-	lng1 := radians(p.Lng)
-	dLng := radians(q.Lng - p.Lng)
-
-	bx := math.Cos(lat2) * math.Cos(dLng)
-	by := math.Cos(lat2) * math.Sin(dLng)
-	lat3 := math.Atan2(math.Sin(lat1)+math.Sin(lat2),
-		math.Sqrt((math.Cos(lat1)+bx)*(math.Cos(lat1)+bx)+by*by))
-	lng3 := lng1 + math.Atan2(by, math.Cos(lat1)+bx)
-
-	return LatLng{Lat: degrees(lat3), Lng: normalizeLng(degrees(lng3))}
-}
-
 // Interpolate returns the point a fraction t of the way from p to q along
 // the straight (equirectangular) segment. t outside [0,1] extrapolates.
 // For the sub-kilometer hops routes are made of, the error versus true
@@ -105,15 +89,6 @@ func (p LatLng) Interpolate(q LatLng, t float64) LatLng {
 
 // Path is an ordered sequence of coordinates (a trajectory or polyline).
 type Path []LatLng
-
-// LengthMeters returns the total haversine length of the path.
-func (t Path) LengthMeters() float64 {
-	var total float64
-	for i := 1; i < len(t); i++ {
-		total += t[i-1].DistanceMeters(t[i])
-	}
-	return total
-}
 
 // Resample returns a path of exactly n points evenly spaced by arc length
 // along t. It returns nil when t is empty or n <= 0. A single-point path is

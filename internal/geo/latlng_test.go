@@ -103,29 +103,6 @@ func TestBearingDegrees(t *testing.T) {
 	}
 }
 
-func TestMidpoint(t *testing.T) {
-	p := LatLng{Lat: 40, Lng: -74}
-	q := LatLng{Lat: 42, Lng: -74}
-	mid := p.Midpoint(q)
-	if !almostEqual(mid.Lat, 41, 1e-6) || !almostEqual(mid.Lng, -74, 1e-6) {
-		t.Errorf("Midpoint() = %v, want (41,-74)", mid)
-	}
-}
-
-func TestMidpointEquidistantProperty(t *testing.T) {
-	f := func(aLat, aLng, bLat, bLng float64) bool {
-		p := LatLng{Lat: math.Mod(math.Abs(aLat), 60), Lng: math.Mod(aLng, 90)}
-		q := LatLng{Lat: math.Mod(math.Abs(bLat), 60), Lng: math.Mod(bLng, 90)}
-		mid := p.Midpoint(q)
-		d1 := mid.DistanceMeters(p)
-		d2 := mid.DistanceMeters(q)
-		return almostEqual(d1, d2, 1+1e-6*(d1+d2))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestValid(t *testing.T) {
 	valid := []LatLng{{0, 0}, {90, 180}, {-90, -180}, {40.7, -74.0}}
 	for _, p := range valid {
@@ -138,17 +115,6 @@ func TestValid(t *testing.T) {
 		if p.Valid() {
 			t.Errorf("%v should be invalid", p)
 		}
-	}
-}
-
-func TestPathLengthMeters(t *testing.T) {
-	if got := (Path{}).LengthMeters(); got != 0 {
-		t.Errorf("empty path length = %f, want 0", got)
-	}
-	p := Path{{Lat: 0, Lng: 0}, {Lat: 1, Lng: 0}, {Lat: 2, Lng: 0}}
-	want := 2 * LatLng{}.DistanceMeters(LatLng{Lat: 1})
-	if got := p.LengthMeters(); !almostEqual(got, want, 1e-6) {
-		t.Errorf("LengthMeters() = %f, want %f", got, want)
 	}
 }
 
@@ -172,7 +138,7 @@ func TestPathResample(t *testing.T) {
 		r := p.Resample(11)
 		for i := 1; i < len(r); i++ {
 			gap := r[i-1].DistanceMeters(r[i])
-			want := p.LengthMeters() / 10
+			want := p[0].DistanceMeters(p[1]) / 10
 			if !almostEqual(gap, want, want*0.01) {
 				t.Errorf("gap %d = %f, want %f", i, gap, want)
 			}

@@ -74,14 +74,3 @@ func (c *RegionClusterer) Assign(rect BBox) *Region {
 	best.centerSumLng += center.Lng
 	return best
 }
-
-// Regions returns the regions in creation order. The slice is a copy; the
-// pointed-to regions are shared.
-func (c *RegionClusterer) Regions() []*Region {
-	out := make([]*Region, len(c.regions))
-	copy(out, c.regions)
-	return out
-}
-
-// Len returns the number of regions created so far.
-func (c *RegionClusterer) Len() int { return len(c.regions) }

@@ -40,8 +40,8 @@ func TestRegionClustererCreatesAndJoins(t *testing.T) {
 	if r3.ID != "R1" {
 		t.Errorf("second region ID = %q, want R1", r3.ID)
 	}
-	if c.Len() != 2 {
-		t.Errorf("region count = %d, want 2", c.Len())
+	if len(c.regions) != 2 {
+		t.Errorf("region count = %d, want 2", len(c.regions))
 	}
 }
 
@@ -53,7 +53,7 @@ func TestRegionClustererBoundsGrow(t *testing.T) {
 
 	shifted := base.Destination(45, 2000)
 	c.Assign(rectAround(shifted, 0.01))
-	if !r.Bounds.ContainsBox(first) {
+	if !containsBox(r.Bounds, first) {
 		t.Error("region bounds must grow monotonically")
 	}
 	if r.Bounds == first {
@@ -86,19 +86,6 @@ func TestRegionCenterIsRunningMean(t *testing.T) {
 	got := r.Center()
 	if !almostEqual(got.Lat, 10.05, 1e-9) || !almostEqual(got.Lng, 10.05, 1e-9) {
 		t.Errorf("Center = %v, want (10.05, 10.05)", got)
-	}
-}
-
-func TestRegionsReturnsCopy(t *testing.T) {
-	c := NewRegionClusterer(1000)
-	c.Assign(rectAround(LatLng{Lat: 1, Lng: 1}, 0.001))
-	regions := c.Regions()
-	if len(regions) != 1 {
-		t.Fatalf("len = %d, want 1", len(regions))
-	}
-	regions[0] = nil
-	if c.Regions()[0] == nil {
-		t.Error("Regions must return a copied slice")
 	}
 }
 

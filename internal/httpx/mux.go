@@ -12,10 +12,9 @@ import (
 )
 
 // NewServeMux is the one place the repo's HTTP services assemble their root
-// routing. The elevation service, the segment-explore service, and the DEM
-// tile mirror used to each hand-roll the same three-layer mux; they now all
-// call this, so /healthz, /metrics, pprof, and the Harden wrapper behave
-// identically everywhere:
+// routing. The elevation, segment-explore and ingest services all call it
+// instead of hand-rolling the same three-layer mux, so /healthz, /metrics,
+// pprof, and the Harden wrapper behave identically everywhere:
 //
 //	/healthz       liveness plus instance identity (service, shard, pid,
 //	               process start time — everything cmd/elevobs needs to

@@ -54,9 +54,6 @@ type Endpoint struct {
 	downSince atomic.Int64
 }
 
-// BaseURL returns the endpoint's normalized base URL.
-func (e *Endpoint) BaseURL() string { return e.base }
-
 // up reports whether the endpoint counts as healthy: never marked down, or
 // marked down longer than ttl ago (stale marks read as up so the endpoint
 // gets its optimistic retry).
@@ -107,11 +104,6 @@ func WithPoolBreaker(threshold int, cooldown time.Duration) PoolOption {
 // breaker's half-open probes).
 func WithPoolHealthInterval(d time.Duration) PoolOption {
 	return func(pl *Pool) { pl.healthEvery = d }
-}
-
-// WithPoolHealthPath overrides the probe path (default /healthz).
-func WithPoolHealthPath(path string) PoolOption {
-	return func(pl *Pool) { pl.healthPath = path }
 }
 
 // WithPoolDownTTL overrides how long a passive down mark (from a transport
@@ -179,7 +171,6 @@ type Pool struct {
 	sleep     func(context.Context, time.Duration) error
 
 	healthEvery time.Duration
-	healthPath  string
 	downTTL     time.Duration
 
 	breakerThreshold int
@@ -213,7 +204,6 @@ func NewPool(baseURLs []string, opts ...PoolOption) (*Pool, error) {
 		policy:           DefaultPoolPolicy(),
 		sleep:            sleepContext,
 		healthEvery:      DefaultHealthInterval,
-		healthPath:       "/healthz",
 		downTTL:          2 * time.Second,
 		breakerThreshold: 8,
 		breakerCooldown:  3 * time.Second,
@@ -260,9 +250,6 @@ func (p *Pool) Close() {
 	p.stopOnce.Do(func() { close(p.stop) })
 	p.wg.Wait()
 }
-
-// Size reports how many endpoints the pool holds.
-func (p *Pool) Size() int { return len(p.endpoints) }
 
 // Stats snapshots every endpoint's state in construction order.
 func (p *Pool) Stats() []EndpointStats {
@@ -587,7 +574,7 @@ func (p *Pool) probe(ep *Endpoint) bool {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ep.base+p.healthPath, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ep.base+"/healthz", nil)
 	if err != nil {
 		return false
 	}

@@ -31,7 +31,7 @@ func TestRingDeterministicOwners(t *testing.T) {
 	a, b := NewRing(4), NewRing(4)
 	for i := 0; i < 1000; i++ {
 		key := HashKey("cell-" + strconv.Itoa(i))
-		oa, ob := a.Owner(key), b.Owner(key)
+		oa, ob := owner(a, key), owner(b, key)
 		if oa != ob {
 			t.Fatalf("key %d: owners differ across identical rings: %d vs %d", i, oa, ob)
 		}
@@ -45,7 +45,7 @@ func TestRingBalance(t *testing.T) {
 	r := NewRing(4)
 	counts := make([]int, 4)
 	for i := 0; i < 4000; i++ {
-		counts[r.Owner(HashKey("key-"+strconv.Itoa(i)))]++
+		counts[owner(r, HashKey("key-"+strconv.Itoa(i)))]++
 	}
 	lo, hi := counts[0], counts[0]
 	for _, c := range counts[1:] {
@@ -64,7 +64,7 @@ func TestRingBalance(t *testing.T) {
 func TestRingOwnerExcludingIsStable(t *testing.T) {
 	r := NewRing(4)
 	key := HashKey("some-grid-cell")
-	owner := r.Owner(key)
+	owner := owner(r, key)
 	skipOwner := func(idx int) bool { return idx == owner }
 	backup := r.OwnerExcluding(key, skipOwner)
 	if backup == owner || backup < 0 {
@@ -202,7 +202,7 @@ func TestPoolFailsOverFromDeadEndpoint(t *testing.T) {
 	var key uint64
 	for i := 0; ; i++ {
 		key = HashKey("cell-" + strconv.Itoa(i))
-		if p.ring.Owner(key) == 2 {
+		if owner(p.ring, key) == 2 {
 			break
 		}
 	}
@@ -252,7 +252,7 @@ func TestPoolBreakerOpensThenRecovers(t *testing.T) {
 	var key0 uint64
 	for i := 0; ; i++ {
 		key0 = HashKey("k-" + strconv.Itoa(i))
-		if p.ring.Owner(key0) == 0 {
+		if owner(p.ring, key0) == 0 {
 			break
 		}
 	}
@@ -385,7 +385,7 @@ func TestPoolRetryableStatusFailsOver(t *testing.T) {
 	var key uint64
 	for i := 0; ; i++ {
 		key = HashKey("k-" + strconv.Itoa(i))
-		if p.ring.Owner(key) == 0 {
+		if owner(p.ring, key) == 0 {
 			break
 		}
 	}
@@ -471,3 +471,7 @@ func TestPoolConcurrentUse(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// owner returns the endpoint index owning key: the first virtual node at or
+// clockwise after the key's position.
+func owner(r *Ring, key uint64) int { return r.points[r.search(key)].idx }

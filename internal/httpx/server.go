@@ -15,13 +15,13 @@ import (
 // out-of-band configuration.
 var processStart = time.Now()
 
-// Server-side resilience: the elevation and segment services (and the DEM
-// tile mirror) sit under sweeps that fan thousands of requests at them, so
-// they need the mirror image of the client-side protections in this
-// package — recover a panicking handler instead of dropping the connection,
-// bound each request's wall clock, and shed load with 429 + Retry-After
-// when too many requests are in flight (which the retrying Client on the
-// other side honors).
+// Server-side resilience: the elevation and segment services sit under
+// sweeps that fan thousands of requests at them, so they need the mirror
+// image of the client-side protections in this package — recover a
+// panicking handler instead of dropping the connection, bound each
+// request's wall clock, and shed load with 429 + Retry-After when too many
+// requests are in flight (which the retrying Client on the other side
+// honors).
 
 // ServerConfig tunes Harden.
 type ServerConfig struct {

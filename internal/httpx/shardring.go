@@ -7,7 +7,7 @@ import (
 )
 
 // Shard routing: a mining sweep against N shard instances wants every
-// request for the same tile coordinate or grid cell to land on the same
+// request for the same profile or grid cell to land on the same
 // instance, so that instance's LRU cache owns the key's working set and the
 // other N-1 caches never duplicate it. A consistent-hash ring over the
 // endpoint indexes gives each shard a stable slice of the key space that
@@ -57,15 +57,6 @@ func NewRing(n int) *Ring {
 	return r
 }
 
-// Size reports how many endpoints the ring spans.
-func (r *Ring) Size() int { return r.n }
-
-// Owner returns the endpoint index owning key: the first virtual node at or
-// clockwise after the key's position.
-func (r *Ring) Owner(key uint64) int {
-	return r.points[r.search(key)].idx
-}
-
 // OwnerExcluding returns the owner of key skipping endpoints for which skip
 // reports true — the stable failover order: the next-closest distinct
 // endpoint clockwise on the ring. Returns -1 when every endpoint is
@@ -98,7 +89,7 @@ func (r *Ring) search(key uint64) int {
 }
 
 // HashKey hashes an arbitrary string (a canonical grid-cell query, an
-// encoded polyline, a tile name) into the ring's key space: FNV-1a followed
+// encoded polyline) into the ring's key space: FNV-1a followed
 // by a splitmix64-style finalizer. Raw FNV clusters badly on short strings
 // that share a prefix — exactly the shape of vnode labels and grid-cell
 // queries — and clustered vnode positions skew shard ownership several-fold;

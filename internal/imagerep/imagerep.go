@@ -32,11 +32,6 @@ func NewImage(channels, height, width int) *Image {
 	}
 }
 
-// At returns the pixel value at (channel, y, x).
-func (im *Image) At(c, y, x int) float64 {
-	return im.Data[(c*im.Height+y)*im.Width+x]
-}
-
 // Set writes the pixel value at (channel, y, x).
 func (im *Image) Set(c, y, x int, v float64) {
 	im.Data[(c*im.Height+y)*im.Width+x] = v
@@ -259,15 +254,4 @@ func plot(im *Image, x, y float64, c Color) {
 	for ch := 0; ch < 3; ch++ {
 		im.Set(ch, yi, xi, c[ch])
 	}
-}
-
-// RenderAll renders a batch of signals. The images share one contiguous
-// matrix-backed allocation (see RenderBatch); callers that want the dense
-// matrix itself should call RenderBatch directly.
-func RenderAll(signals [][]float64, cfg Config) ([]*Image, error) {
-	batch, err := RenderBatch(signals, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return batch.Images(), nil
 }

@@ -1,8 +1,6 @@
 package imagerep
 
 import (
-	"bytes"
-	"image/png"
 	"math"
 	"testing"
 	"testing/quick"
@@ -146,7 +144,7 @@ func TestRenderLineSpansWidth(t *testing.T) {
 	for x := 0; x < im.Width; x++ {
 		var lit bool
 		for y := 0; y < im.Height && !lit; y++ {
-			if im.At(0, y, x) > 0 || im.At(1, y, x) > 0 || im.At(2, y, x) > 0 {
+			if at(im, 0, y, x) > 0 || at(im, 1, y, x) > 0 || at(im, 2, y, x) > 0 {
 				lit = true
 			}
 		}
@@ -163,8 +161,8 @@ func TestRenderYAxisUsesSignalExtremes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bottomLit := im.At(0, im.Height-1, 0) > 0
-	topLit := im.At(0, 0, im.Width-1) > 0
+	bottomLit := at(im, 0, im.Height-1, 0) > 0
+	topLit := at(im, 0, 0, im.Width-1) > 0
 	if !bottomLit {
 		t.Error("signal minimum not drawn at the bottom-left")
 	}
@@ -182,7 +180,7 @@ func TestRenderFlatSignal(t *testing.T) {
 	litRows := map[int]bool{}
 	for y := 0; y < im.Height; y++ {
 		for x := 0; x < im.Width; x++ {
-			if im.At(0, y, x) > 0 {
+			if at(im, 0, y, x) > 0 {
 				litRows[y] = true
 			}
 		}
@@ -211,7 +209,7 @@ func TestColorEncodesElevationInterval(t *testing.T) {
 	colorAt := func(im *Image) Color {
 		for y := 0; y < im.Height; y++ {
 			for x := 0; x < im.Width; x++ {
-				c := Color{im.At(0, y, x), im.At(1, y, x), im.At(2, y, x)}
+				c := Color{at(im, 0, y, x), at(im, 1, y, x), at(im, 2, y, x)}
 				if c[0] > 0 || c[1] > 0 || c[2] > 0 {
 					return c
 				}
@@ -243,26 +241,13 @@ func TestColorForIntervals(t *testing.T) {
 	}
 }
 
-func TestRenderAll(t *testing.T) {
-	ims, err := RenderAll([][]float64{{1, 2, 3}, {4, 5, 6}}, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ims) != 2 {
-		t.Fatalf("len = %d", len(ims))
-	}
-	if _, err := RenderAll([][]float64{{1, 2}, nil}, DefaultConfig()); err == nil {
-		t.Error("batch with empty signal accepted")
-	}
-}
-
 func TestImageAtSetRoundTrip(t *testing.T) {
 	im := NewImage(3, 4, 5)
 	im.Set(2, 3, 4, 0.5)
-	if got := im.At(2, 3, 4); got != 0.5 {
+	if got := at(im, 2, 3, 4); got != 0.5 {
 		t.Errorf("At = %f", got)
 	}
-	if got := im.At(0, 0, 0); got != 0 {
+	if got := at(im, 0, 0, 0); got != 0 {
 		t.Errorf("untouched pixel = %f", got)
 	}
 	if len(im.Data) != 60 {
@@ -287,53 +272,7 @@ func TestRenderDeterministic(t *testing.T) {
 	}
 }
 
-func TestWritePNG(t *testing.T) {
-	im, err := Render([]float64{50, 60, 55, 70, 65}, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := im.WritePNG(&buf); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := png.Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := decoded.Bounds()
-	if b.Dx() != 32 || b.Dy() != 32 {
-		t.Errorf("png size = %dx%d", b.Dx(), b.Dy())
-	}
-	// Some pixel must be non-black (the line).
-	var lit bool
-	for y := b.Min.Y; y < b.Max.Y && !lit; y++ {
-		for x := b.Min.X; x < b.Max.X && !lit; x++ {
-			r, g, bb, _ := decoded.At(x, y).RGBA()
-			if r+g+bb > 0 {
-				lit = true
-			}
-		}
-	}
-	if !lit {
-		t.Error("png is entirely black")
-	}
-}
-
-func TestToImageRequiresThreeChannels(t *testing.T) {
-	im := NewImage(1, 8, 8)
-	if _, err := im.ToImage(); err == nil {
-		t.Error("1-channel image accepted")
-	}
-}
-
-func TestClamp8(t *testing.T) {
-	cases := []struct {
-		in   float64
-		want uint8
-	}{{-1, 0}, {0, 0}, {0.5, 128}, {1, 255}, {2, 255}}
-	for _, c := range cases {
-		if got := clamp8(c.in); got != c.want {
-			t.Errorf("clamp8(%f) = %d, want %d", c.in, got, c.want)
-		}
-	}
+// at returns the pixel value at (channel, y, x).
+func at(im *Image, c, y, x int) float64 {
+	return im.Data[(c*im.Height+y)*im.Width+x]
 }

@@ -28,7 +28,6 @@ type Server struct {
 	logf        func(string, ...any)
 	maxInFlight int
 	reqTimeout  time.Duration
-	pprof       bool
 }
 
 // ServerOption configures a Server.
@@ -47,11 +46,6 @@ func WithMaxInFlight(n int) ServerOption {
 // WithRequestTimeout overrides the per-request deadline; 0 disables it.
 func WithRequestTimeout(d time.Duration) ServerOption {
 	return func(s *Server) { s.reqTimeout = d }
-}
-
-// WithPprof mounts net/http/pprof under /debug/pprof/.
-func WithPprof(enabled bool) ServerOption {
-	return func(s *Server) { s.pprof = enabled }
 }
 
 // NewServer wraps p in the firehose front door.
@@ -104,7 +98,6 @@ func (s *Server) Handler() http.Handler {
 			DynamicRetryAfter: true,
 			Logf:              s.logf,
 		},
-		Pprof: s.pprof,
 	})
 }
 

@@ -88,12 +88,7 @@ type CNN struct {
 
 // New validates the config and allocates an initialized network.
 func New(cfg Config) (*CNN, error) {
-	if cfg.InChannels == 0 {
-		cfg.InChannels = 3
-	}
-	if cfg.InSize == 0 {
-		cfg.InSize = 32
-	}
+	cfg = cfg.withDefaults()
 	switch {
 	case cfg.Classes < 2:
 		return nil, fmt.Errorf("cnn: need >= 2 classes, got %d", cfg.Classes)
@@ -138,6 +133,17 @@ func New(cfg Config) (*CNN, error) {
 	return c, nil
 }
 
+// withDefaults fills in the 3×32×32 input shape when it is unset.
+func (cfg Config) withDefaults() Config {
+	if cfg.InChannels == 0 {
+		cfg.InChannels = 3
+	}
+	if cfg.InSize == 0 {
+		cfg.InSize = 32
+	}
+	return cfg
+}
+
 // initParams redraws every weight from cfg.Seed (He-normal, biases zero)
 // and resets the Adam moments — the state of a freshly constructed
 // network. New calls it once; Fit calls it again so refitting a used
@@ -170,15 +176,6 @@ func (c *CNN) SetLearningRate(lr float64) error {
 		return fmt.Errorf("cnn: learning rate %g", lr)
 	}
 	c.adam.LR = lr
-	return nil
-}
-
-// SetClassWeights replaces the loss weighting (nil disables weighting).
-func (c *CNN) SetClassWeights(w []float64) error {
-	if w != nil && len(w) != c.cfg.Classes {
-		return fmt.Errorf("cnn: %d class weights for %d classes", len(w), c.cfg.Classes)
-	}
-	c.cfg.ClassWeights = w
 	return nil
 }
 
@@ -357,18 +354,27 @@ func Load(r io.Reader) (*CNN, error) {
 		return nil, err
 	}
 	if h.Kind != "cnn" {
-		return nil, fmt.Errorf("cnn: file holds a %q model", h.Kind)
+		return nil, fmt.Errorf("%w: cnn: file holds a %q model", ml.ErrMalformedModel, h.Kind)
 	}
 	var sc savedConfig
 	if err := json.Unmarshal(h.Config, &sc); err != nil {
-		return nil, fmt.Errorf("cnn: parsing config: %w", err)
+		return nil, fmt.Errorf("%w: cnn: parsing config: %v", ml.ErrMalformedModel, err)
 	}
-	c, err := New(sc.Config)
+	cfg := sc.Config.withDefaults()
+	s2 := cfg.InSize / 4
+	n, err := ml.ParamCount(
+		[]int{cfg.Conv1, cfg.InChannels, kernel, kernel}, []int{cfg.Conv1},
+		[]int{cfg.Conv2, cfg.Conv1, kernel, kernel}, []int{cfg.Conv2},
+		[]int{cfg.Classes, cfg.Conv2, s2, s2}, []int{cfg.Classes})
 	if err != nil {
 		return nil, err
 	}
-	if len(blocks) != 1 || len(blocks[0]) != len(c.params) {
-		return nil, fmt.Errorf("cnn: parameter block mismatch (%d blocks)", len(blocks))
+	if len(blocks) != 1 || len(blocks[0]) != n {
+		return nil, fmt.Errorf("%w: cnn: parameter block mismatch (%d blocks)", ml.ErrMalformedModel, len(blocks))
+	}
+	c, err := New(sc.Config)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ml.ErrMalformedModel, err)
 	}
 	copy(c.params, blocks[0])
 	return c, nil

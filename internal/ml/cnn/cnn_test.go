@@ -307,12 +307,6 @@ func TestSetLearningRateValidation(t *testing.T) {
 	if err := c.SetLearningRate(0); err == nil {
 		t.Error("lr 0 accepted")
 	}
-	if err := c.SetClassWeights([]float64{1}); err == nil {
-		t.Error("wrong-length weights accepted")
-	}
-	if err := c.SetClassWeights(nil); err != nil {
-		t.Errorf("nil weights rejected: %v", err)
-	}
 }
 
 func TestTrainValidation(t *testing.T) {

@@ -26,7 +26,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 }
 
-// TestScoresAreVoteFractions checks each ScoresSparse row sums to 1 and
+// TestScoresAreVoteFractions checks each row of vote fractions sums to 1 and
 // that the argmax matches PredictBatchSparse.
 func TestScoresAreVoteFractions(t *testing.T) {
 	x, y := blobs([][]float64{{0, 0}, {4, 4}}, 15, 0.8, 9)
@@ -59,7 +59,7 @@ func TestPredictBatchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ScoresSparse(linalg.SparseFromDense(linalg.NewMatrix(1, 1))); err == nil {
-		t.Error("scoring before fit accepted")
+	if _, err := f.PredictBatchSparse(linalg.SparseFromDense(linalg.NewMatrix(1, 1))); err == nil {
+		t.Error("predicting before fit accepted")
 	}
 }

@@ -275,20 +275,6 @@ func majorityClass(counts []int, total int) (class int, pure bool) {
 	return best, counts[best] == total
 }
 
-// ScoresSparse returns the fraction of trees voting for each class, one
-// row per sample of a CSR feature batch.
-func (f *Forest) ScoresSparse(x *linalg.SparseMatrix) (*linalg.Matrix, error) {
-	votes, err := f.voteBatchSparse(x)
-	if err != nil {
-		return nil, err
-	}
-	inv := 1 / float64(len(f.trees))
-	for i, v := range votes.Data {
-		votes.Data[i] = v * inv
-	}
-	return votes, nil
-}
-
 // PredictBatchSparse majority-votes the trees over every row of a CSR
 // feature batch (lowest class index on ties).
 func (f *Forest) PredictBatchSparse(x *linalg.SparseMatrix) ([]int, error) {

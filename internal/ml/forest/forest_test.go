@@ -59,11 +59,15 @@ func predict(t testing.TB, f *Forest, x [][]float64) []int {
 // voteShares returns the per-class vote fractions for every row of x.
 func voteShares(t testing.TB, f *Forest, x [][]float64) *linalg.Matrix {
 	t.Helper()
-	s, err := f.ScoresSparse(csr(t, x))
+	votes, err := f.voteBatchSparse(csr(t, x))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	inv := 1 / float64(len(f.trees))
+	for i, v := range votes.Data {
+		votes.Data[i] = v * inv
+	}
+	return votes
 }
 
 func accuracy(t *testing.T, f *Forest, x [][]float64, y []int) float64 {

@@ -226,10 +226,3 @@ func (a *Adam32) StepSum(params []float64, shadow []float32, parts [][]float32, 
 		sh[i] = float32(pi)
 	}
 }
-
-// Reset clears the moment estimates and step count, keeping the size.
-func (a *Adam32) Reset() {
-	Zero32(a.m)
-	Zero32(a.v)
-	a.t = 0
-}

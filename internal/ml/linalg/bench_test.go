@@ -14,21 +14,6 @@ func randMatrix(rows, cols int, seed int64) *Matrix {
 	return m
 }
 
-func benchMatMul(b *testing.B, n, k, m int) {
-	a := randMatrix(n, k, 1)
-	bb := randMatrix(k, m, 2)
-	b.ReportAllocs()
-	b.SetBytes(int64(8 * (n*k + k*m + n*m)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(a, bb)
-	}
-}
-
-func BenchmarkMatMulSmall(b *testing.B)  { benchMatMul(b, 16, 16, 16) }
-func BenchmarkMatMulMedium(b *testing.B) { benchMatMul(b, 128, 128, 128) }
-func BenchmarkMatMulLarge(b *testing.B)  { benchMatMul(b, 256, 512, 256) }
-
 func BenchmarkMatMulT(b *testing.B) {
 	a := randMatrix(128, 256, 1)
 	w := randMatrix(128, 256, 2)

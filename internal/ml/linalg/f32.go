@@ -36,13 +36,6 @@ func (m *Matrix32) Row(r int) []float32 { return m.Data[r*m.Cols : (r+1)*m.Cols]
 // At returns the element at (r, c).
 func (m *Matrix32) At(r, c int) float32 { return m.Data[r*m.Cols+c] }
 
-// Matrix32From converts a float64 matrix to float32 (fresh storage).
-func Matrix32From(m *Matrix) *Matrix32 {
-	out := NewMatrix32(m.Rows, m.Cols)
-	Convert32(out.Data, m.Data)
-	return out
-}
-
 // Convert32 narrows src into dst element-wise. Lengths must match.
 func Convert32(dst []float32, src []float64) {
 	if len(dst) != len(src) {
@@ -103,19 +96,9 @@ func Zero32(v []float32) {
 	}
 }
 
-// MatMul32 returns C = A·B in float32, cache-blocked over the inner
-// dimension exactly like the float64 MatMul (i-k-j with blockK tiling, so
-// B streams forward through the cache at twice the rows per line).
-func MatMul32(a, b *Matrix32) *Matrix32 {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	c := NewMatrix32(a.Rows, b.Cols)
-	MatMul32Into(a, b, c)
-	return c
-}
-
-// MatMul32Into is MatMul32 writing into a caller-owned c (overwritten).
+// MatMul32Into computes C = A·B in float32 into a caller-owned c
+// (overwritten), cache-blocked over the inner dimension (i-k-j with blockK
+// tiling, so B streams forward through the cache at twice the rows per line).
 func MatMul32Into(a, b, c *Matrix32) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("linalg: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -141,18 +124,10 @@ func MatMul32Into(a, b, c *Matrix32) {
 	})
 }
 
-// AffineT32 returns C = A·Wᵀ + bias in float32, the reduced-precision
-// batched affine layer.
-func AffineT32(a, w *Matrix32, bias []float32) *Matrix32 {
-	c := NewMatrix32(a.Rows, w.Rows)
-	AffineT32Into(a, w, bias, c)
-	return c
-}
-
-// AffineT32Into is AffineT32 writing into a caller-owned c. Like the
-// float64 AffineTInto it tiles sample rows with the weight loop outermost,
-// so W streams through memory once per affineTileRows samples instead of
-// once per sample.
+// AffineT32Into computes C = A·Wᵀ + bias in float32, the reduced-precision
+// batched affine layer, into a caller-owned c. Like the float64 AffineTInto
+// it tiles sample rows with the weight loop outermost, so W streams through
+// memory once per affineTileRows samples instead of once per sample.
 func AffineT32Into(a, w *Matrix32, bias []float32, c *Matrix32) {
 	if a.Cols != w.Cols {
 		panic(fmt.Sprintf("linalg: affineT shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, w.Rows, w.Cols))

@@ -44,11 +44,6 @@ func Zero(v []float64) {
 	}
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	return math.Sqrt(Dot(v, v))
-}
-
 // ArgMax returns the index of the largest element (first on ties), or -1
 // for an empty slice.
 func ArgMax(v []float64) int {
@@ -106,31 +101,5 @@ func NewMatrix(rows, cols int) *Matrix {
 // At returns the element at (r, c).
 func (m *Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
 
-// Set writes the element at (r, c).
-func (m *Matrix) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
-
 // Row returns the r-th row as a shared slice.
 func (m *Matrix) Row(r int) []float64 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
-
-// MulVec computes out = M·x. out must have length Rows, x length Cols.
-func (m *Matrix) MulVec(x, out []float64) {
-	if len(x) != m.Cols || len(out) != m.Rows {
-		panic(fmt.Sprintf("linalg: mulvec shape mismatch: %dx%d with x=%d out=%d",
-			m.Rows, m.Cols, len(x), len(out)))
-	}
-	for r := 0; r < m.Rows; r++ {
-		out[r] = Dot(m.Row(r), x)
-	}
-}
-
-// MulVecT computes out = Mᵀ·x. out must have length Cols, x length Rows.
-func (m *Matrix) MulVecT(x, out []float64) {
-	if len(x) != m.Rows || len(out) != m.Cols {
-		panic(fmt.Sprintf("linalg: mulvecT shape mismatch: %dx%d with x=%d out=%d",
-			m.Rows, m.Cols, len(x), len(out)))
-	}
-	Zero(out)
-	for r := 0; r < m.Rows; r++ {
-		Axpy(out, m.Row(r), x[r])
-	}
-}

@@ -45,12 +45,6 @@ func TestAxpyAndScale(t *testing.T) {
 	}
 }
 
-func TestNorm2(t *testing.T) {
-	if got := Norm2([]float64{3, 4}); math.Abs(got-5) > 1e-12 {
-		t.Errorf("Norm2 = %f", got)
-	}
-}
-
 func TestArgMax(t *testing.T) {
 	tests := []struct {
 		in   []float64
@@ -121,30 +115,11 @@ func TestSoftmaxSumsToOneProperty(t *testing.T) {
 	}
 }
 
-func TestMatrixMulVec(t *testing.T) {
-	m := NewMatrix(2, 3)
-	// [1 2 3; 4 5 6]
-	for i, v := range []float64{1, 2, 3, 4, 5, 6} {
-		m.Data[i] = v
-	}
-	out := make([]float64, 2)
-	m.MulVec([]float64{1, 0, -1}, out)
-	if out[0] != -2 || out[1] != -2 {
-		t.Errorf("MulVec = %v", out)
-	}
-
-	outT := make([]float64, 3)
-	m.MulVecT([]float64{1, 1}, outT)
-	if outT[0] != 5 || outT[1] != 7 || outT[2] != 9 {
-		t.Errorf("MulVecT = %v", outT)
-	}
-}
-
 func TestMatrixAtSetRow(t *testing.T) {
 	m := NewMatrix(3, 4)
-	m.Set(2, 3, 7)
+	m.Data[2*m.Cols+3] = 7
 	if m.At(2, 3) != 7 {
-		t.Error("At/Set broken")
+		t.Error("At broken")
 	}
 	row := m.Row(2)
 	if len(row) != 4 || row[3] != 7 {

@@ -59,13 +59,6 @@ func (m *Matrix) RowSlices() [][]float64 {
 	return out
 }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
 // parallelRows partitions [0, rows) into contiguous chunks and runs fn on
 // each chunk concurrently. flops gates the fan-out: below parallelFlops
 // everything runs on the calling goroutine.
@@ -92,32 +85,6 @@ func parallelRows(rows, flops int, fn func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// MatMul returns C = A·B. Shapes: (n×k)·(k×m) → n×m.
-func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	c := NewMatrix(a.Rows, b.Cols)
-	parallelRows(a.Rows, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			aRow := a.Row(i)
-			cRow := c.Row(i)
-			// i-k-j with k tiling: every access walks rows of B, so the
-			// whole product streams cache lines forward.
-			for k0 := 0; k0 < a.Cols; k0 += blockK {
-				k1 := k0 + blockK
-				if k1 > a.Cols {
-					k1 = a.Cols
-				}
-				for k := k0; k < k1; k++ {
-					Axpy(cRow, b.Row(k), aRow[k])
-				}
-			}
-		}
-	})
-	return c
 }
 
 // MatMulT returns C = A·Bᵀ. Shapes: (n×k)·(m×k)ᵀ → n×m. Both operands are
@@ -195,9 +162,9 @@ func AffineTInto(a, w *Matrix, bias []float64, c *Matrix) {
 						s3 += wk * a3[k]
 					}
 					c.Row(i)[j] = bj + s0
-					c.Row(i+1)[j] = bj + s1
-					c.Row(i+2)[j] = bj + s2
-					c.Row(i+3)[j] = bj + s3
+					c.Row(i + 1)[j] = bj + s1
+					c.Row(i + 2)[j] = bj + s2
+					c.Row(i + 3)[j] = bj + s3
 				}
 				for ; i < i1; i++ {
 					c.Row(i)[j] = bj + Dot(wRow, a.Row(i))

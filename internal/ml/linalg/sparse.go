@@ -86,21 +86,6 @@ func (s *SparseMatrix) ToDense() *Matrix {
 	return m
 }
 
-// Clone returns a deep copy.
-func (s *SparseMatrix) Clone() *SparseMatrix {
-	out := &SparseMatrix{
-		Rows:   s.Rows,
-		Cols:   s.Cols,
-		RowPtr: make([]int, len(s.RowPtr)),
-		ColIdx: make([]int32, len(s.ColIdx)),
-		Val:    make([]float64, len(s.Val)),
-	}
-	copy(out.RowPtr, s.RowPtr)
-	copy(out.ColIdx, s.ColIdx)
-	copy(out.Val, s.Val)
-	return out
-}
-
 // GatherRows returns a new CSR matrix holding the given rows of s, in idx
 // order — the fold-gather operation of cross-validation.
 func (s *SparseMatrix) GatherRows(idx []int) *SparseMatrix {

@@ -125,18 +125,6 @@ func TestScatterClearRow(t *testing.T) {
 	}
 }
 
-func TestSparseClone(t *testing.T) {
-	sp := SparseFromDense(randomSparseDense(5, 20, 0.2, 9))
-	cl := sp.Clone()
-	if sp.NNZ() == 0 {
-		t.Skip("degenerate random draw")
-	}
-	cl.Val[0]++
-	if sp.Val[0] == cl.Val[0] {
-		t.Error("Clone shares Val storage")
-	}
-}
-
 func TestAppendRowBuildsCSR(t *testing.T) {
 	s := NewSparseMatrix(3, 4, 4)
 	s.ColIdx = append(s.ColIdx, 1, 3)

@@ -228,28 +228,34 @@ func (m *MLP) Save(w io.Writer) error {
 	return ml.WriteModel(w, ml.Header{Kind: "mlp", Config: cfgJSON}, m.params)
 }
 
-// Load reconstructs a saved network.
+// Load reconstructs a saved network. The header's dimensions are checked
+// against the parameter block before anything is allocated from them.
 func Load(r io.Reader) (*MLP, error) {
 	h, blocks, err := ml.ReadModel(r)
 	if err != nil {
 		return nil, err
 	}
 	if h.Kind != "mlp" {
-		return nil, fmt.Errorf("mlp: file holds a %q model", h.Kind)
+		return nil, fmt.Errorf("%w: mlp: file holds a %q model", ml.ErrMalformedModel, h.Kind)
 	}
 	var sc savedConfig
 	if err := json.Unmarshal(h.Config, &sc); err != nil {
-		return nil, fmt.Errorf("mlp: parsing config: %w", err)
+		return nil, fmt.Errorf("%w: mlp: parsing config: %v", ml.ErrMalformedModel, err)
 	}
-	m, err := New(sc.Config)
+	hid, k := sc.Config.Hidden, sc.Config.Classes
+	n, err := ml.ParamCount([]int{hid, sc.Dim}, []int{hid}, []int{k, hid}, []int{k})
 	if err != nil {
 		return nil, err
 	}
+	if len(blocks) != 1 || len(blocks[0]) != n {
+		return nil, fmt.Errorf("%w: mlp: parameter block mismatch (%d blocks)", ml.ErrMalformedModel, len(blocks))
+	}
+	m, err := New(sc.Config)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ml.ErrMalformedModel, err)
+	}
 	if err := m.init(sc.Dim, rand.New(rand.NewSource(sc.Config.Seed))); err != nil {
 		return nil, err
-	}
-	if len(blocks) != 1 || len(blocks[0]) != len(m.params) {
-		return nil, fmt.Errorf("mlp: parameter block mismatch (%d blocks)", len(blocks))
 	}
 	copy(m.params, blocks[0])
 	return m, nil

@@ -1,6 +1,7 @@
 package svm
 
 import (
+	"math"
 	"testing"
 
 	"elevprivacy/internal/ml/linalg"
@@ -54,7 +55,7 @@ func TestSparseMatchesDense(t *testing.T) {
 	}
 	for i, row := range x {
 		unit := make([]float64, len(row))
-		n := linalg.Norm2(row)
+		n := math.Sqrt(linalg.Dot(row, row))
 		for j, v := range row {
 			unit[j] = v / n
 		}

@@ -250,18 +250,18 @@ func Load(r io.Reader) (*SVM, error) {
 		return nil, err
 	}
 	if h.Kind != "svm" {
-		return nil, fmt.Errorf("svm: file holds a %q model", h.Kind)
+		return nil, fmt.Errorf("%w: svm: file holds a %q model", ml.ErrMalformedModel, h.Kind)
 	}
 	var sc savedConfig
 	if err := json.Unmarshal(h.Config, &sc); err != nil {
-		return nil, fmt.Errorf("svm: parsing config: %w", err)
+		return nil, fmt.Errorf("%w: svm: parsing config: %v", ml.ErrMalformedModel, err)
 	}
 	s, err := New(sc.Config)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ml.ErrMalformedModel, err)
 	}
 	if len(blocks) != sc.Config.Classes+1 {
-		return nil, fmt.Errorf("svm: %d blocks for %d classes", len(blocks), sc.Config.Classes)
+		return nil, fmt.Errorf("%w: svm: %d blocks for %d classes", ml.ErrMalformedModel, len(blocks), sc.Config.Classes)
 	}
 	s.dim = sc.Dim
 	w, err := ml.MatrixFromBlocks(blocks[:sc.Config.Classes], sc.Dim)
@@ -271,7 +271,7 @@ func Load(r io.Reader) (*SVM, error) {
 	s.w = w
 	b := blocks[sc.Config.Classes]
 	if len(b) != sc.Config.Classes {
-		return nil, fmt.Errorf("svm: intercept block has %d values, want %d", len(b), sc.Config.Classes)
+		return nil, fmt.Errorf("%w: svm: intercept block has %d values, want %d", ml.ErrMalformedModel, len(b), sc.Config.Classes)
 	}
 	s.b = b
 	return s, nil

@@ -93,14 +93,8 @@ func SetDefaultLogger(l *Logger) {
 	}
 }
 
-// SetLevel changes the logger's threshold.
-func (l *Logger) SetLevel(level Level) { l.level.Store(int32(level)) }
-
 // Enabled reports whether records at level pass the threshold.
 func (l *Logger) Enabled(level Level) bool { return int32(level) >= l.level.Load() }
-
-// Debug logs msg with alternating key/value pairs at debug level.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
 
 // Info logs at info level.
 func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv) }
@@ -115,11 +109,6 @@ func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv) }
 // servers (panic reports, handler errors).
 func (l *Logger) Errorf(format string, args ...any) {
 	l.log(LevelError, fmt.Sprintf(format, args...), nil)
-}
-
-// Infof is the printf bridge at info level.
-func (l *Logger) Infof(format string, args ...any) {
-	l.log(LevelInfo, fmt.Sprintf(format, args...), nil)
 }
 
 func (l *Logger) log(level Level, msg string, kv []any) {

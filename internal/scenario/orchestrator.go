@@ -105,14 +105,8 @@ func New(spec *Spec, opts Options) (*Orchestrator, error) {
 	return o, nil
 }
 
-// Board exposes the live unit status surface.
-func (o *Orchestrator) Board() *durable.Board { return o.board }
-
 // Units returns the expanded unit count (after dedup).
 func (o *Orchestrator) Units() int { return len(o.units) }
-
-// HTTPAttempts returns the HTTP attempts issued by mine units so far.
-func (o *Orchestrator) HTTPAttempts() int64 { return o.httpAttempts.Load() }
 
 // ScenarioResult is one scenario's outcome.
 type ScenarioResult struct {

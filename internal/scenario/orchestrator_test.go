@@ -129,7 +129,7 @@ func TestDedupSharedMine(t *testing.T) {
 	if _, sweepErr3 := orch3.Run(context.Background()); sweepErr3 != nil {
 		t.Fatalf("journal-replay run failed: %v", sweepErr3)
 	}
-	for _, u := range orch3.Board().Snapshot() {
+	for _, u := range orch3.board.Snapshot() {
 		if u.State != durable.StateRestored {
 			t.Errorf("unit %s state = %s, want restored on journal replay", u.Key, u.State)
 		}
@@ -288,11 +288,11 @@ func TestCancelScenarioKeepsSharedUnits(t *testing.T) {
 	// The shared mine ran for the survivor; the canceled scenario's private
 	// feat unit did not.
 	plainMine := spec.Scenarios[0].mineKey()
-	if u, ok := orch.Board().Get(plainMine); !ok || u.State != durable.StateDone {
+	if u, ok := orch.board.Get(plainMine); !ok || u.State != durable.StateDone {
 		t.Errorf("shared mine unit state = %v, want done", u.State)
 	}
 	noisedFeat := spec.Scenarios[1].featKey()
-	if u, ok := orch.Board().Get(noisedFeat); !ok || u.State != durable.StateCanceled {
+	if u, ok := orch.board.Get(noisedFeat); !ok || u.State != durable.StateCanceled {
 		t.Errorf("canceled scenario's feat unit state = %v, want canceled", u.State)
 	}
 }

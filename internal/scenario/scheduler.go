@@ -36,9 +36,8 @@ type Unit struct {
 	Restore func() error
 }
 
-// Scheduler fans a DAG of keyed units across the durable pool, with the
-// durability contract the sequential durable.Runner pioneered: journaled
-// units restore instead of re-running, completed units journal as they
+// Scheduler fans a DAG of keyed units across the durable pool, with this
+// durability contract: journaled units restore instead of re-running, completed units journal as they
 // finish, panics quarantine the unit, and a drain stops dispatch while
 // in-flight units finish. The DAG is executed level by level (Kahn layers),
 // each level through one pool, so independent units — different scenarios'
@@ -114,8 +113,7 @@ func levels(units []Unit) ([][]int, error) {
 	return out, nil
 }
 
-// Run executes the DAG. Like durable.Runner.Run, it only returns an error
-// for journal I/O failures (fatal: the run cannot be made durable); unit
+// Run executes the DAG. It only returns an error for journal I/O failures (fatal: the run cannot be made durable); unit
 // failures, panics, cancels, and drains live in the Report, whose Units are
 // in input order.
 func (s *Scheduler) Run(ctx context.Context, units []Unit) (*durable.Report, error) {
@@ -155,7 +153,7 @@ func (s *Scheduler) Run(ctx context.Context, units []Unit) (*durable.Report, err
 
 layers:
 	for _, layer := range layers {
-		// Drain check between levels, mirroring Runner's between-unit check.
+		// Drain check between levels.
 		stopped := ctx.Err() != nil
 		select {
 		case <-drain:

@@ -46,9 +46,8 @@ func TestStoreAddReplacesByID(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", s.Len())
 	}
-	got, ok := s.Get("x")
-	if !ok || got.Name != "second" || got.Popularity != 9 {
-		t.Errorf("Get = %+v", got)
+	if got := s.segments[s.byID["x"]]; got.Name != "second" || got.Popularity != 9 {
+		t.Errorf("stored = %+v", got)
 	}
 }
 

@@ -70,17 +70,6 @@ func (s *Store) Len() int {
 	return len(s.segments)
 }
 
-// Get returns the segment with the given ID.
-func (s *Store) Get(id string) (Segment, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	i, ok := s.byID[id]
-	if !ok {
-		return Segment{}, false
-	}
-	return s.segments[i], true
-}
-
 // Explore returns the top-k segments (by popularity, ties broken by ID for
 // determinism) whose routes are FULLY encapsulated by bounds — a segment
 // that straddles the boundary is not returned, exactly as the mined service

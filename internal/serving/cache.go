@@ -1,13 +1,13 @@
 // Package serving holds the in-process caching layer the sharded serving
 // tier puts in front of expensive render paths: a size-bounded LRU over
 // immutable response bytes with singleflight fill dedup. When a consistent-
-// hash pool routes every request for a tile or profile to the same shard,
+// hash pool routes every request for a profile to the same shard,
 // that shard's Cache owns the key's working set — the first request pays the
 // rasterize/sample cost, every later one is a memory read, and a thundering
 // herd on a cold key collapses into one fill.
 //
-// Values are immutable by contract (DEM tiles never change once cut, profile
-// responses are pure functions of their query), so there is no invalidation
+// Values are immutable by contract (profile responses are pure functions of
+// their query), so there is no invalidation
 // path at all: entries leave only by LRU eviction.
 package serving
 
@@ -129,29 +129,6 @@ func (c *Cache) Get(key string, fill func() ([]byte, error)) ([]byte, bool, erro
 	c.mu.Unlock()
 	close(f.done)
 	return f.value, false, f.err
-}
-
-// Peek reports whether key is resident without touching LRU order or
-// counters (used by tests and stats endpoints).
-func (c *Cache) Peek(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.items[key]
-	return ok
-}
-
-// Len reports how many entries are resident.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Bytes reports the total size of resident values.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.curBytes
 }
 
 // store inserts under c.mu, evicting from the LRU tail until the new entry

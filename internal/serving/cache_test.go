@@ -50,12 +50,12 @@ func TestCacheEvictsLRU(t *testing.T) {
 	if _, _, err := c.Get("c", fillWith([]byte("yyyy"), nil)); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Peek("a") || c.Peek("b") || !c.Peek("c") {
+	if !resident(c, "a") || resident(c, "b") || !resident(c, "c") {
 		t.Errorf("residency a=%v b=%v c=%v, want a and c only",
-			c.Peek("a"), c.Peek("b"), c.Peek("c"))
+			resident(c, "a"), resident(c, "b"), resident(c, "c"))
 	}
-	if c.Bytes() != 8 || c.Len() != 2 {
-		t.Errorf("bytes=%d len=%d, want 8 and 2", c.Bytes(), c.Len())
+	if c.curBytes != 8 || c.ll.Len() != 2 {
+		t.Errorf("bytes=%d len=%d, want 8 and 2", c.curBytes, c.ll.Len())
 	}
 }
 
@@ -66,7 +66,7 @@ func TestCacheOversizeValueNotCached(t *testing.T) {
 	if err != nil || hit || len(v) != 16 {
 		t.Fatalf("oversize get: len=%d hit=%v err=%v", len(v), hit, err)
 	}
-	if c.Peek("big") || c.Bytes() != 0 {
+	if resident(c, "big") || c.curBytes != 0 {
 		t.Error("oversize value was cached")
 	}
 }
@@ -77,7 +77,7 @@ func TestCacheFillErrorNotCached(t *testing.T) {
 	if _, _, err := c.Get("k", func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if c.Peek("k") {
+	if resident(c, "k") {
 		t.Fatal("error result was cached")
 	}
 	// Next Get retries the fill and can succeed.
@@ -152,4 +152,13 @@ func TestCacheConcurrentChurn(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// resident reports whether key is cached, without touching LRU order or
+// counters.
+func resident(c *Cache, key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.items[key]
+	return ok
 }

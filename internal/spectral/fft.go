@@ -12,25 +12,9 @@ import (
 )
 
 // FFT computes the in-place radix-2 Cooley-Tukey fast Fourier transform of
-// the complex sequence. The length must be a power of two.
+// the complex sequence, iteratively with a bit-reversal permutation. The
+// length must be a power of two.
 func FFT(data []complex128) error {
-	return transform(data, false)
-}
-
-// IFFT computes the inverse transform (including the 1/N scaling).
-func IFFT(data []complex128) error {
-	if err := transform(data, true); err != nil {
-		return err
-	}
-	n := complex(float64(len(data)), 0)
-	for i := range data {
-		data[i] /= n
-	}
-	return nil
-}
-
-// transform runs the iterative radix-2 FFT with bit-reversal permutation.
-func transform(data []complex128, inverse bool) error {
 	n := len(data)
 	if n == 0 {
 		return fmt.Errorf("spectral: empty input")
@@ -50,10 +34,7 @@ func transform(data []complex128, inverse bool) error {
 
 	// Butterflies.
 	for size := 2; size <= n; size *= 2 {
-		angle := 2 * math.Pi / float64(size)
-		if !inverse {
-			angle = -angle
-		}
+		angle := -(2 * math.Pi / float64(size))
 		wStep := complex(math.Cos(angle), math.Sin(angle))
 		for start := 0; start < n; start += size {
 			w := complex(1, 0)

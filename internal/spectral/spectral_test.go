@@ -32,27 +32,6 @@ func TestFFTKnownSinusoid(t *testing.T) {
 	}
 }
 
-func TestFFTInverseRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	data := make([]complex128, 128)
-	orig := make([]complex128, 128)
-	for i := range data {
-		data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		orig[i] = data[i]
-	}
-	if err := FFT(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := IFFT(data); err != nil {
-		t.Fatal(err)
-	}
-	for i := range data {
-		if cmplx.Abs(data[i]-orig[i]) > 1e-9 {
-			t.Fatalf("round trip diverges at %d: %v vs %v", i, data[i], orig[i])
-		}
-	}
-}
-
 func TestFFTParseval(t *testing.T) {
 	// Energy in time domain equals energy in frequency domain / N.
 	rng := rand.New(rand.NewSource(2))

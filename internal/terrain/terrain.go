@@ -111,12 +111,6 @@ func New(origin geo.LatLng, params Params) (*Terrain, error) {
 	}, nil
 }
 
-// Params returns the terrain's parameter set.
-func (t *Terrain) Params() Params { return t.params }
-
-// Origin returns the anchor coordinate.
-func (t *Terrain) Origin() geo.LatLng { return t.origin }
-
 var _ dem.Source = (*Terrain)(nil)
 
 // ElevationAt evaluates the analytic elevation field at p. It never fails

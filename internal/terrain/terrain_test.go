@@ -1,10 +1,12 @@
 package terrain
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"elevprivacy/internal/dem"
 	"elevprivacy/internal/geo"
 )
 
@@ -230,22 +232,53 @@ func TestRasterizeMatchesAnalyticField(t *testing.T) {
 	}
 }
 
+// TestRasterizeTile pins the SRTM stand-in: the terrain rasterized into a
+// full-resolution SRTM3 tile survives the .hgt codec byte for byte, and
+// bilinear samples of the decoded tile along a line across it stay within
+// int16 rounding plus interpolation over 3-arc-second posts of the
+// analytic field.
 func TestRasterizeTile(t *testing.T) {
 	tr := mustTerrain(t, geo.LatLng{Lat: 40.5, Lng: -74.5}, defaultParams())
-	tile, err := tr.RasterizeTile(40, -75, 101)
+	const srtm3 = 1201
+	tile, err := tr.RasterizeTile(40, -75, srtm3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tile.Name() != "N40W075" {
 		t.Errorf("tile name = %q", tile.Name())
 	}
-	e, err := tile.ElevationAt(geo.LatLng{Lat: 40.5, Lng: -74.5})
+	var hgt bytes.Buffer
+	if err := tile.WriteHGT(&hgt); err != nil {
+		t.Fatal(err)
+	}
+	if hgt.Len() != 2*srtm3*srtm3 {
+		t.Fatalf("hgt payload = %d bytes, want %d", hgt.Len(), 2*srtm3*srtm3)
+	}
+	back, err := dem.ReadHGT(bytes.NewReader(hgt.Bytes()), 40, -75)
 	if err != nil {
 		t.Fatal(err)
 	}
-	analytic, _ := tr.ElevationAt(geo.LatLng{Lat: 40.5, Lng: -74.5})
-	if math.Abs(e-analytic) > 3 {
-		t.Errorf("tile center %f vs analytic %f", e, analytic)
+	var again bytes.Buffer
+	if err := back.WriteHGT(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(hgt.Bytes(), again.Bytes()) {
+		t.Fatal("tile does not survive WriteHGT/ReadHGT byte for byte")
+	}
+
+	const bound = 1.5 // meters: ≤0.5 m rounding plus interpolation over ~90 m posts
+	var worst float64
+	for i := 0; i <= 400; i++ {
+		p := geo.LatLng{Lat: 40.05 + 0.00225*float64(i), Lng: -74.95 + 0.00225*float64(i)}
+		got, err := back.ElevationAt(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := tr.ElevationAt(p)
+		worst = math.Max(worst, math.Abs(got-want))
+	}
+	if worst > bound {
+		t.Errorf("decoded tile strays %.2f m from the terrain along the diagonal, want <= %.1f m", worst, bound)
 	}
 }
 
@@ -337,7 +370,7 @@ func TestMacroParamsValidation(t *testing.T) {
 
 func TestMacroDefaultsApplied(t *testing.T) {
 	tr := mustTerrain(t, geo.LatLng{Lat: 40, Lng: -74}, defaultParams())
-	got := tr.Params()
+	got := tr.params
 	if got.MacroKm != 6*defaultParams().FeatureKm {
 		t.Errorf("MacroKm default = %g", got.MacroKm)
 	}

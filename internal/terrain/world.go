@@ -46,16 +46,6 @@ func (c *City) Terrain() (*Terrain, error) {
 	return t, nil
 }
 
-// Borough returns the named borough.
-func (c *City) Borough(name string) (*Borough, error) {
-	for i := range c.Boroughs {
-		if c.Boroughs[i].Name == name {
-			return &c.Boroughs[i], nil
-		}
-	}
-	return nil, fmt.Errorf("terrain: city %s has no borough %q", c.Name, name)
-}
-
 // World returns the paper's ten-city world in Table II order. Each city's
 // terrain parameters are tuned to caricature the real city's elevation
 // signature: Miami and Tampa are flat coastal plains, Colorado Springs is a

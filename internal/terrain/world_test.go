@@ -143,21 +143,6 @@ func TestCityByName(t *testing.T) {
 	}
 }
 
-func TestBoroughLookup(t *testing.T) {
-	world := World()
-	nyc, _ := CityByName(world, "NYC")
-	b, err := nyc.Borough("Manhattan")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.TargetSegments != 2437 {
-		t.Errorf("Manhattan target = %d, want 2437", b.TargetSegments)
-	}
-	if _, err := nyc.Borough("Gotham"); err == nil {
-		t.Error("unknown borough accepted")
-	}
-}
-
 func TestBoroughCitiesOrder(t *testing.T) {
 	cities := BoroughCities(World())
 	want := []string{"LA", "MIA", "NJ", "NYC", "SF", "WDC"}

@@ -21,7 +21,7 @@ func benchSignals(n, points int) [][]float64 {
 
 func BenchmarkPipelineBuild(b *testing.B) {
 	signals := benchSignals(200, 80)
-	cfg := DefaultPipelineConfig()
+	cfg := paperConfig()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -65,25 +65,25 @@ func BenchmarkEncodeTokens(b *testing.B) {
 // row.
 func BenchmarkVectorizeTokenSparse(b *testing.B) {
 	signals := benchSignals(200, 80)
-	p, err := NewPipeline(signals, DefaultPipelineConfig())
+	p, err := NewPipeline(signals, paperConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	tv := p.Vocabulary().newTokenVectorizer()
+	tv := p.vocab.newTokenVectorizer()
 	var tokens []uint32
 	cols := make([]int32, 0, 256)
 	vals := make([]float64, 0, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tokens = p.Encoder().EncodeTokens(signals[i%len(signals)], tokens)
+		tokens = p.encoder.EncodeTokens(signals[i%len(signals)], tokens)
 		cols, vals = tv.appendSparse(tokens, cols[:0], vals[:0])
 	}
 }
 
 func BenchmarkFeaturesAllSparse(b *testing.B) {
 	signals := benchSignals(200, 80)
-	p, err := NewPipeline(signals, DefaultPipelineConfig())
+	p, err := NewPipeline(signals, paperConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -24,15 +24,6 @@ func PrecisionDiscretizer(digits int) Discretizer {
 	}
 }
 
-// Discretize applies d to every value of the signal, returning a new slice.
-func Discretize(signal []float64, d Discretizer) []float64 {
-	out := make([]float64, len(signal))
-	for i, e := range signal {
-		out[i] = d(e)
-	}
-	return out
-}
-
 // WordSize computes the paper's rule w = ⌈log_l c⌉: the number of alphabet
 // letters needed to give each of c unique values a distinct word. c < 2
 // still requires one letter.

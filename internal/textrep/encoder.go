@@ -172,9 +172,6 @@ func (e *Encoder) EncodeTokens(signal []float64, dst []uint32) []uint32 {
 	return dst
 }
 
-// Word returns the word assigned to rank r (for inspection/tests).
-func (e *Encoder) Word(r int) string { return e.wordByRank[r] }
-
 // rank returns the index of v in sortedVals when present, and the index of
 // the nearest known value otherwise. NaN (only reachable through a
 // pathological custom discretizer at encode time — BuildEncoder rejects

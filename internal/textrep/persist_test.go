@@ -66,7 +66,7 @@ func TestPipelineSeedFixture(t *testing.T) {
 		t.Errorf("loaded pipeline featurizes to\n%s\nwant\n%s", got, wantCSR)
 	}
 
-	cfg := DefaultPipelineConfig() // the fixture's configuration
+	cfg := paperConfig() // the fixture's configuration
 	cfg.MaxFeatures = 512
 	built := newTestPipeline(t, seedWalks(40, 120, 23), cfg)
 	blob, err := json.Marshal(built)
@@ -90,14 +90,14 @@ func TestBuildVocabularyClampsMaxN(t *testing.T) {
 		t.Fatal(err)
 	}
 	longest := 0
-	for _, g := range v.Grams() {
+	for _, g := range v.grams {
 		longest = max(longest, len(g))
 	}
 	if v.maxN != longest || longest >= 6 {
-		t.Fatalf("maxN = %d, longest gram order %d (grams %v)", v.maxN, longest, v.Grams())
+		t.Fatalf("maxN = %d, longest gram order %d (grams %v)", v.maxN, longest, v.grams)
 	}
 
-	cfg := DefaultPipelineConfig()
+	cfg := paperConfig()
 	cfg.MaxFeatures = 3
 	p := newTestPipeline(t, [][]float64{{1, 1, 1, 2, 2, 2, 3, 3, 3}}, cfg)
 	blob, err := json.Marshal(p)

@@ -46,18 +46,6 @@ type PipelineConfig struct {
 	MaxFeatures  int
 }
 
-// DefaultPipelineConfig matches the paper's evaluation settings: floor
-// discretization, 26-letter alphabet, n = 8.
-func DefaultPipelineConfig() PipelineConfig {
-	return PipelineConfig{
-		Discretizer:  FloorDiscretizer,
-		Alphabet:     DefaultAlphabet,
-		NGram:        8,
-		MinFrequency: 2,
-		MaxFeatures:  4096,
-	}
-}
-
 // NewPipeline builds the encoder and vocabulary over all signals. For a
 // pipeline that should survive persistence, set cfg.Precision instead of a
 // raw Discretizer.
@@ -181,15 +169,6 @@ func (p *Pipeline) FeaturesAllSparse(signals [][]float64) *linalg.SparseMatrix {
 	}
 	return out
 }
-
-// Dim returns the feature dimensionality.
-func (p *Pipeline) Dim() int { return p.vocab.Size() }
-
-// Encoder exposes the underlying encoder (for inspection/tests).
-func (p *Pipeline) Encoder() *Encoder { return p.encoder }
-
-// Vocabulary exposes the underlying vocabulary (for inspection/tests).
-func (p *Pipeline) Vocabulary() *Vocabulary { return p.vocab }
 
 // savedPipeline is the JSON form of a fitted pipeline. The discretizer is
 // identified by its precision (0 = floor), the encoder by its sorted

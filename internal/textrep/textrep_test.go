@@ -47,8 +47,8 @@ func TestDiscretizeIdempotentProperty(t *testing.T) {
 			}
 			clean = append(clean, v)
 		}
-		once := Discretize(clean, d)
-		twice := Discretize(once, d)
+		once := discretize(clean, d)
+		twice := discretize(once, d)
 		for i := range once {
 			if once[i] != twice[i] {
 				return false
@@ -196,9 +196,9 @@ func TestBuildVocabularyCollectsNGrams(t *testing.T) {
 	}
 	want := map[string]bool{"a": true, "b": true, "ab": true, "ba": true}
 	if vocab.Size() != len(want) {
-		t.Fatalf("Size = %d, grams = %v", vocab.Size(), vocab.Grams())
+		t.Fatalf("Size = %d, grams = %v", vocab.Size(), vocab.grams)
 	}
-	for _, g := range vocab.Grams() {
+	for _, g := range vocab.grams {
 		if !want[g] {
 			t.Errorf("unexpected gram %q", g)
 		}
@@ -212,14 +212,14 @@ func TestBuildVocabularyWordAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range vocab.Grams() {
+	for _, g := range vocab.grams {
 		if g == "ab" {
 			t.Error("vocabulary contains straddling gram")
 		}
 	}
 	// Expected: "aa", "bb", "aabb".
 	if vocab.Size() != 3 {
-		t.Errorf("Size = %d, grams = %v", vocab.Size(), vocab.Grams())
+		t.Errorf("Size = %d, grams = %v", vocab.Size(), vocab.grams)
 	}
 }
 
@@ -229,8 +229,8 @@ func TestBuildVocabularyFrequencyThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vocab.Size() != 1 || vocab.Grams()[0] != "a" {
-		t.Errorf("grams = %v, want [a]", vocab.Grams())
+	if vocab.Size() != 1 || vocab.grams[0] != "a" {
+		t.Errorf("grams = %v, want [a]", vocab.grams)
 	}
 }
 
@@ -241,7 +241,7 @@ func TestBuildVocabularyMaxFeatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Most frequent: a (3), b (2).
-	grams := vocab.Grams()
+	grams := vocab.grams
 	if len(grams) != 2 || grams[0] != "a" || grams[1] != "b" {
 		t.Errorf("grams = %v, want [a b]", grams)
 	}
@@ -294,8 +294,8 @@ func TestVectorizeNonOverlappingCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vocab.Size() != 1 || vocab.Grams()[0] != "aa" {
-		t.Fatalf("grams = %v", vocab.Grams())
+	if vocab.Size() != 1 || vocab.grams[0] != "aa" {
+		t.Fatalf("grams = %v", vocab.grams)
 	}
 	vec := vectorize(vocab, "aaaa")
 	// Single feature normalized to 1; underlying count was 2 — verify via
@@ -312,7 +312,7 @@ func TestVectorizeNonOverlappingCounts(t *testing.T) {
 	// Counts: "a"×4 non-overlapping 1-grams, "aa"×2 bigrams; "b", "ab",
 	// "bb" zero. Total 6.
 	idx := map[string]int{}
-	for i, g := range vocab2.Grams() {
+	for i, g := range vocab2.grams {
 		idx[g] = i
 	}
 	if math.Abs(vec2[idx["a"]]-4.0/6) > 1e-12 {
@@ -369,14 +369,14 @@ func TestPipelineEndToEnd(t *testing.T) {
 		{1850.2, 1851.8, 1852.4, 1851.1, 1850.9, 1850.3},
 		{1851.0, 1850.4, 1851.5, 1852.2, 1851.7, 1850.8},
 	}
-	cfg := DefaultPipelineConfig()
+	cfg := paperConfig()
 	cfg.NGram = 3
 	cfg.MinFrequency = 1
 	p, err := NewPipeline(signals, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Dim() == 0 {
+	if p.vocab.Size() == 0 {
 		t.Fatal("empty feature space")
 	}
 
@@ -413,10 +413,10 @@ func TestPipelineDefaultsApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Encoder().WordSize() != 1 {
-		t.Errorf("word size = %d", p.Encoder().WordSize())
+	if p.encoder.WordSize() != 1 {
+		t.Errorf("word size = %d", p.encoder.WordSize())
 	}
-	if p.Vocabulary().Size() == 0 {
+	if p.vocab.Size() == 0 {
 		t.Error("empty vocabulary")
 	}
 }
@@ -427,7 +427,7 @@ func TestPipelinePersistenceRoundTrip(t *testing.T) {
 		{5.2, 6.3, 5.2, 6.4, 5.1, 5.2},
 		{80.2, 81.8, 82.4, 81.1, 80.9, 80.3},
 	}
-	cfg := DefaultPipelineConfig()
+	cfg := paperConfig()
 	cfg.Discretizer = nil
 	cfg.Precision = 1
 	cfg.NGram = 3
@@ -445,8 +445,8 @@ func TestPipelinePersistenceRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Dim() != p.Dim() {
-		t.Fatalf("dim = %d, want %d", back.Dim(), p.Dim())
+	if back.vocab.Size() != p.vocab.Size() {
+		t.Fatalf("dim = %d, want %d", back.vocab.Size(), p.vocab.Size())
 	}
 	// Training signals and an unseen one (nearest-value fallback) agree.
 	probe := append(signals, []float64{5.05, 6.0, 80.0, 81.0})
@@ -474,4 +474,25 @@ func TestPipelineUnmarshalValidation(t *testing.T) {
 			t.Errorf("input %s accepted", in)
 		}
 	}
+}
+
+// paperConfig matches the paper's evaluation settings: floor
+// discretization, 26-letter alphabet, n = 8.
+func paperConfig() PipelineConfig {
+	return PipelineConfig{
+		Discretizer:  FloorDiscretizer,
+		Alphabet:     DefaultAlphabet,
+		NGram:        8,
+		MinFrequency: 2,
+		MaxFeatures:  4096,
+	}
+}
+
+// discretize applies d to every value of the signal, returning a new slice.
+func discretize(signal []float64, d Discretizer) []float64 {
+	out := make([]float64, len(signal))
+	for i, e := range signal {
+		out[i] = d(e)
+	}
+	return out
 }

@@ -41,7 +41,7 @@ func TestEncodeTokensMatchesEncode(t *testing.T) {
 		}
 		text := enc.Encode(sig)
 		for i, tok := range tokens {
-			word := enc.Word(int(tok))
+			word := enc.wordByRank[int(tok)]
 			if got := text[i*enc.WordSize() : (i+1)*enc.WordSize()]; got != word {
 				t.Fatalf("sample %d: string path word %q, token path word %q", i, got, word)
 			}
@@ -110,7 +110,7 @@ func scatter(dim int, cols []int32, vals []float64) []float64 {
 // counting) and a miss advances one word; counts are normalized to sum 1.
 func stringVectorize(v *Vocabulary, text string) []float64 {
 	index := make(map[string]int, v.Size())
-	for i, g := range v.Grams() {
+	for i, g := range v.grams {
 		index[g] = i
 	}
 	vec := make([]float64, v.Size())
@@ -140,18 +140,18 @@ func stringVectorize(v *Vocabulary, text string) []float64 {
 // bits of the reference string vectorizer.
 func assertTokenStringParity(t *testing.T, p *Pipeline, signals [][]float64) {
 	t.Helper()
-	tv := p.Vocabulary().newTokenVectorizer()
+	tv := p.vocab.newTokenVectorizer()
 	var tokens []uint32
 	for si, sig := range signals {
-		want := stringVectorize(p.Vocabulary(), p.Encoder().Encode(sig))
-		tokens = p.Encoder().EncodeTokens(sig, tokens)
+		want := stringVectorize(p.vocab, p.encoder.Encode(sig))
+		tokens = p.encoder.EncodeTokens(sig, tokens)
 		cols, vals := tv.appendSparse(tokens, nil, nil)
 		for k := 1; k < len(cols); k++ {
 			if cols[k-1] >= cols[k] {
 				t.Fatalf("signal %d: sparse columns not strictly ascending: %v", si, cols)
 			}
 		}
-		got := scatter(p.Dim(), cols, vals)
+		got := scatter(p.vocab.Size(), cols, vals)
 		for i := range want {
 			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
 				t.Fatalf("signal %d feature %d: string %v, token %v", si, i, want[i], got[i])
@@ -163,11 +163,11 @@ func assertTokenStringParity(t *testing.T, p *Pipeline, signals [][]float64) {
 func TestTokenVectorizePackedParity(t *testing.T) {
 	// Narrow value range: every order bit-packs.
 	signals := tokenTestSignals(60, 80, 20, 11)
-	cfg := DefaultPipelineConfig()
+	cfg := paperConfig()
 	cfg.MinFrequency = 1
 	p := newTestPipeline(t, signals, cfg)
-	if p.Vocabulary().hashedFrom <= p.Vocabulary().maxN {
-		t.Fatalf("expected fully packed index, hashedFrom = %d", p.Vocabulary().hashedFrom)
+	if p.vocab.hashedFrom <= p.vocab.maxN {
+		t.Fatalf("expected fully packed index, hashedFrom = %d", p.vocab.hashedFrom)
 	}
 	assertTokenStringParity(t, p, signals)
 	assertTokenStringParity(t, p, tokenTestSignals(10, 80, 25, 12)) // unseen values
@@ -177,12 +177,12 @@ func TestTokenVectorizeHashedParity(t *testing.T) {
 	// Wide value range: enough unique discrete values that high orders
 	// overflow 64-bit packing and take the verified rolling-hash path.
 	signals := tokenTestSignals(80, 120, 400, 13)
-	cfg := DefaultPipelineConfig()
+	cfg := paperConfig()
 	cfg.MinFrequency = 1
 	p := newTestPipeline(t, signals, cfg)
-	v := p.Vocabulary()
+	v := p.vocab
 	if v.hashedFrom > v.maxN {
-		t.Fatalf("expected hashed orders (c = %d ranks), all packed", p.Encoder().UniqueValues())
+		t.Fatalf("expected hashed orders (c = %d ranks), all packed", p.encoder.UniqueValues())
 	}
 	assertTokenStringParity(t, p, signals)
 	assertTokenStringParity(t, p, tokenTestSignals(10, 120, 420, 14)) // unseen values
@@ -194,23 +194,23 @@ func TestTokenVectorizeHashedParity(t *testing.T) {
 func TestFeaturesAllSparseMatchesDense(t *testing.T) {
 	for _, spread := range []float64{20, 400} { // packed and hashed regimes
 		signals := tokenTestSignals(50, 90, spread, 17)
-		p := newTestPipeline(t, signals, DefaultPipelineConfig())
+		p := newTestPipeline(t, signals, paperConfig())
 
 		sparse := p.FeaturesAllSparse(signals)
-		if sparse.Rows != len(signals) || sparse.Cols != p.Dim() {
-			t.Fatalf("sparse shape %dx%d, want %dx%d", sparse.Rows, sparse.Cols, len(signals), p.Dim())
+		if sparse.Rows != len(signals) || sparse.Cols != p.vocab.Size() {
+			t.Fatalf("sparse shape %dx%d, want %dx%d", sparse.Rows, sparse.Cols, len(signals), p.vocab.Size())
 		}
 		back := sparse.ToDense()
 		for i, sig := range signals {
-			want := stringVectorize(p.Vocabulary(), p.Encoder().Encode(sig))
+			want := stringVectorize(p.vocab, p.encoder.Encode(sig))
 			for j, w := range want {
 				if back.At(i, j) != w {
 					t.Fatalf("spread %v: row %d feature %d: reference %v, sparse %v", spread, i, j, w, back.At(i, j))
 				}
 			}
 		}
-		if sparse.NNZ() >= len(signals)*p.Dim()/2 {
-			t.Errorf("sparse matrix is not sparse: %d nnz of %d", sparse.NNZ(), len(signals)*p.Dim())
+		if sparse.NNZ() >= len(signals)*p.vocab.Size()/2 {
+			t.Errorf("sparse matrix is not sparse: %d nnz of %d", sparse.NNZ(), len(signals)*p.vocab.Size())
 		}
 	}
 }
@@ -299,7 +299,7 @@ func TestPipelinePersistenceTokenPath(t *testing.T) {
 	// Spread wide enough to exercise the hashed orders in the reloaded
 	// index as well.
 	signals := tokenTestSignals(60, 100, 350, 19)
-	cfg := DefaultPipelineConfig()
+	cfg := paperConfig()
 	cfg.Discretizer = nil
 	cfg.Precision = 1
 	p := newTestPipeline(t, signals, cfg)
@@ -317,8 +317,8 @@ func TestPipelinePersistenceTokenPath(t *testing.T) {
 	fresh := append(tokenTestSignals(8, 100, 360, 20), []float64{-1000, 0.05, 5000, 123.4567})
 	var wantToks, gotToks []uint32
 	for si, sig := range fresh {
-		wantToks = p.Encoder().EncodeTokens(sig, wantToks)
-		gotToks = back.Encoder().EncodeTokens(sig, gotToks)
+		wantToks = p.encoder.EncodeTokens(sig, wantToks)
+		gotToks = back.encoder.EncodeTokens(sig, gotToks)
 		for i := range wantToks {
 			if wantToks[i] != gotToks[i] {
 				t.Fatalf("signal %d token %d: %d before save, %d after", si, i, wantToks[i], gotToks[i])

@@ -144,10 +144,6 @@ func newVocabulary(grams []string, wordSize, minN, maxN int, alphabet string, ra
 // Size returns the feature dimensionality.
 func (v *Vocabulary) Size() int { return len(v.grams) }
 
-// Grams returns the features in vector order. The slice is shared; callers
-// must not modify it.
-func (v *Vocabulary) Grams() []string { return v.grams }
-
 // hashBase0 seeds the rolling-hash multiplier (an arbitrary odd 64-bit
 // constant, splitmix64's increment); collisions among vocabulary grams
 // deterministically reseed by hashStep.

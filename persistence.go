@@ -3,6 +3,7 @@ package elevprivacy
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -29,9 +30,9 @@ const attackMagic = "ELPA"
 const maxEnvelopeBytes = 64 << 20
 
 // FormatError describes a malformed attack file: wrong magic, an
-// implausible envelope length, a truncated envelope, or an envelope that is
-// not valid JSON. Callers distinguish corrupt files from I/O failures with
-// errors.As.
+// implausible envelope length, a truncated envelope, an envelope that is
+// not valid JSON or lacks a field, or a malformed model after it. Callers
+// distinguish corrupt files from I/O failures with errors.As.
 type FormatError struct {
 	What   string // which part of the file is malformed
 	Detail string // what was found there
@@ -73,8 +74,9 @@ func writeEnvelope(w io.Writer, v any) error {
 }
 
 // readEnvelope parses the magic and envelope into v. The length prefix
-// comes from the file, so it is never trusted: the magic is verified and the
-// length bounded by maxEnvelopeBytes before any payload-sized allocation.
+// comes from the file, so it is never trusted: the magic is verified, the
+// length bounded by maxEnvelopeBytes, and the envelope read as its bytes
+// arrive, so allocation tracks the bytes present rather than the prefix.
 // Malformed files surface as *FormatError; I/O failures pass through.
 func readEnvelope(r io.Reader, v any) error {
 	header := make([]byte, len(attackMagic)+4)
@@ -94,13 +96,13 @@ func readEnvelope(r io.Reader, v any) error {
 		return &FormatError{What: "envelope length",
 			Detail: fmt.Sprintf("%d exceeds the %d-byte bound", n, maxEnvelopeBytes)}
 	}
-	env := make([]byte, n)
-	if got, err := io.ReadFull(r, env); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return &FormatError{What: "envelope",
-				Detail: fmt.Sprintf("truncated at %d of %d bytes", got, n)}
-		}
+	env, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
 		return fmt.Errorf("elevprivacy: reading envelope: %w", err)
+	}
+	if len(env) < int(n) {
+		return &FormatError{What: "envelope",
+			Detail: fmt.Sprintf("truncated at %d of %d bytes", len(env), n)}
 	}
 	if err := json.Unmarshal(env, v); err != nil {
 		return &FormatError{What: "envelope JSON", Detail: err.Error()}
@@ -143,11 +145,11 @@ func LoadTextAttack(r io.Reader) (*TextAttack, error) {
 		return nil, err
 	}
 	if env.Pipeline == nil {
-		return nil, fmt.Errorf("elevprivacy: attack file has no pipeline")
+		return nil, &FormatError{What: "pipeline", Detail: "missing"}
 	}
 	enc, err := ml.NewLabelEncoder(env.Labels)
 	if err != nil {
-		return nil, fmt.Errorf("elevprivacy: attack labels: %w", err)
+		return nil, &FormatError{What: "labels", Detail: err.Error()}
 	}
 
 	var model ml.Classifier
@@ -157,10 +159,10 @@ func LoadTextAttack(r io.Reader) (*TextAttack, error) {
 	case ClassifierMLP:
 		model, err = mlp.Load(r)
 	default:
-		return nil, fmt.Errorf("elevprivacy: unknown classifier kind %q", env.Kind)
+		return nil, &FormatError{What: "classifier kind", Detail: fmt.Sprintf("%q", env.Kind)}
 	}
 	if err != nil {
-		return nil, err
+		return nil, modelError(err)
 	}
 	return &TextAttack{pipeline: env.Pipeline, labels: enc, model: model}, nil
 }
@@ -184,14 +186,24 @@ func LoadImageAttack(r io.Reader) (*ImageAttack, error) {
 	}
 	enc, err := ml.NewLabelEncoder(env.Labels)
 	if err != nil {
-		return nil, fmt.Errorf("elevprivacy: attack labels: %w", err)
+		return nil, &FormatError{What: "labels", Detail: err.Error()}
 	}
 	model, err := cnn.Load(r)
 	if err != nil {
-		return nil, err
+		return nil, modelError(err)
 	}
 	if model.Classes() != enc.Len() {
-		return nil, fmt.Errorf("elevprivacy: model has %d classes, labels have %d", model.Classes(), enc.Len())
+		return nil, &FormatError{What: "model",
+			Detail: fmt.Sprintf("%d classes, labels have %d", model.Classes(), enc.Len())}
 	}
 	return &ImageAttack{render: env.Render, labels: enc, model: model}, nil
+}
+
+// modelError reports a malformed model as a *FormatError and passes I/O
+// failures through.
+func modelError(err error) error {
+	if errors.Is(err, ml.ErrMalformedModel) {
+		return &FormatError{What: "model", Detail: err.Error()}
+	}
+	return err
 }

@@ -29,10 +29,9 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "==> building elevattack, elevingest, ingestbench"
+echo "==> building elevattack, elevingest"
 go build -o "$workdir/elevattack" ./cmd/elevattack
 go build -o "$workdir/elevingest" ./cmd/elevingest
-go build -o "$workdir/ingestbench" ./cmd/ingestbench
 
 addr="127.0.0.1:19521"
 base="http://$addr"
@@ -70,14 +69,50 @@ server1=$!
 pids="$pids $server1"
 wait_healthy "$workdir/server1.log"
 
-# The firehose: 400 activities at ~120/s, with the exact stream also
-# written to all.ndjson for the offline baseline. The client retries
-# through the kill window (replayable bodies, generous backoff) and only
-# exits 0 once the server's results ledger holds all 400.
+# The firehose: 400 deterministic activities written to all.ndjson (the
+# offline baseline's input) and cut into 10-line chunks, POSTed at ~120/s.
+# curl retries every failure, a refused connection during the kill window
+# included, and a chunk body is a file, so a retry resends the same bytes.
+# The client exits 0 only once the server's results ledger holds all 400.
 echo "==> firehose client streaming 400 activities"
-"$workdir/ingestbench" -target "$base" -n 400 -seed 11 -rate 120 -chunk 10 \
-    -ndjson-out "$workdir/all.ndjson" -wait 180s \
-    >"$workdir/client.log" 2>&1 &
+mkdir "$workdir/chunks"
+python3 - "$workdir" <<'EOF'
+import json, random, sys
+workdir = sys.argv[1]
+rng = random.Random(11)
+regions = ["Washington DC", "Orlando"]
+lines = []
+for i in range(400):
+    e, elevs = rng.uniform(0, 300), []
+    for _ in range(rng.randint(60, 240)):
+        e = max(0.0, e + rng.gauss(0, 1.5))
+        elevs.append(round(e, 2))
+    lines.append(json.dumps({"id": f"act-{i:04d}", "region": rng.choice(regions),
+                             "elevations": elevs}) + "\n")
+with open(f"{workdir}/all.ndjson", "w") as f:
+    f.writelines(lines)
+for c in range(0, 400, 10):
+    with open(f"{workdir}/chunks/{c:04d}.ndjson", "w") as f:
+        f.writelines(lines[c:c + 10])
+EOF
+(
+    for chunk in "$workdir"/chunks/*.ndjson; do
+        curl -sf --retry 60 --retry-all-errors --retry-delay 1 \
+            -H 'Content-Type: application/x-ndjson' \
+            --data-binary @"$chunk" "$base/ingest" >/dev/null || exit 1
+        sleep 0.08
+    done
+    echo "streamed 400 activities"
+    for _ in $(seq 1 180); do
+        if curl -sf "$base/ingest/stats" 2>/dev/null |
+            python3 -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"] != 400)'; then
+            exit 0
+        fi
+        sleep 1
+    done
+    echo "results ledger never reached 400" >&2
+    exit 1
+) >"$workdir/client.log" 2>&1 &
 client=$!
 pids="$pids $client"
 
@@ -121,7 +156,7 @@ if ! wait "$client"; then
     cat "$workdir/client.log" >&2 || true
     exit 1
 fi
-grep 'server ledger' "$workdir/client.log" || true
+cat "$workdir/client.log"
 
 echo "==> exactly-once ledger: 400 results, restored > 0, replayed > 0"
 curl -sf "$base/ingest/stats" >"$workdir/stats.json"
