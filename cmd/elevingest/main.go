@@ -55,7 +55,6 @@ func run() error {
 		attackPath = flag.String("attack", "", "pre-trained attack model (elevattack -save); required")
 		spool      = flag.Int("spool", 1024, "spool depth: activities queued between accept and classify")
 		maxBatch   = flag.Int("max-batch", 256, "largest batch handed to the classifier")
-		batchAge   = flag.Duration("batch-age", 50*time.Millisecond, "how long a partial batch waits for more rows")
 		maxBacklog = flag.Int("max-backlog", 1<<16, "accepted-but-unclassified bound; past it uploads shed with 429")
 		stageTO    = flag.Duration("stage-timeout", 5*time.Second, "classifier stage deadline (0 = none)")
 		inflight   = flag.Int("max-inflight", ingest.DefaultMaxInFlight, "concurrent upload requests before 429 shedding (0 = unbounded)")
@@ -71,7 +70,6 @@ func run() error {
 		outPath = flag.String("out", "", "offline mode: write results NDJSON to this path (atomic)")
 	)
 	obsFlags := obsboot.Register(nil)
-	journalFlags := obsboot.RegisterJournal(nil, ingest.DefaultSyncEvery)
 	flag.Parse()
 
 	tel, err := obsFlags.Start("elevingest")
@@ -114,10 +112,8 @@ func run() error {
 	p, err := ingest.Open(*dir, ingest.Config{
 		SpoolDepth:   *spool,
 		MaxBatch:     *maxBatch,
-		MaxBatchAge:  *batchAge,
 		MaxBacklog:   *maxBacklog,
 		StageTimeout: *stageTO,
-		SyncEvery:    journalFlags.SyncEvery,
 	}, cls)
 	if err != nil {
 		return err

@@ -110,7 +110,7 @@ func run() error {
 	)
 	obsFlags := obsboot.Register(nil)
 	poolFlags := obsboot.RegisterPool(nil)
-	journalFlags := obsboot.RegisterJournal(nil, 0)
+	journalFlags := obsboot.RegisterJournal(nil)
 	flag.Parse()
 
 	tel, err := obsFlags.Start("elevmine")

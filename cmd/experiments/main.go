@@ -71,7 +71,7 @@ func run() error {
 		workers    = flag.Int("workers", 0, "scheduler concurrency for -spec runs (0 = spec's setting)")
 	)
 	obsFlags := obsboot.Register(nil)
-	journalFlags := obsboot.RegisterJournal(nil, 0)
+	journalFlags := obsboot.RegisterJournal(nil)
 	flag.Parse()
 
 	tel, err := obsFlags.Start("experiments")

@@ -385,6 +385,122 @@ func TestNilJournalIsInert(t *testing.T) {
 	}
 }
 
+// fsyncCount reads the process-wide group-commit fsync histogram's count.
+func fsyncCount() uint64 { return journalFsync.Count() }
+
+// TestJournalFlushWithNothingPendingSkipsFsync closes the file under a
+// fully synced journal: a Flush that still called fsync would fail on it.
+func TestJournalFlushWithNothingPendingSkipsFsync(t *testing.T) {
+	j, err := OpenJournal(filepath.Join(t.TempDir(), "units.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Put("u", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	syncs, hist := j.Stats().Syncs, fsyncCount()
+	if err := j.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := j.Flush(); err != nil {
+			t.Fatalf("Flush with nothing pending touched the file: %v", err)
+		}
+	}
+	if got := j.Stats().Syncs; got != syncs {
+		t.Fatalf("Stats().Syncs moved from %d to %d with nothing pending", syncs, got)
+	}
+	if got := fsyncCount(); got != hist {
+		t.Fatalf("elevpriv_journal_fsync_seconds count moved from %d to %d with nothing pending", hist, got)
+	}
+}
+
+// TestJournalGroupCommit races n Put+Flush pairs: every record survives a
+// reopen, and no Flush needed more than its own fsync.
+func TestJournalGroupCommit(t *testing.T) {
+	const n = 8
+	path := filepath.Join(t.TempDir(), "units.wal")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist := fsyncCount()
+	start := make(chan struct{})
+	errs := make(chan error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			if err := j.Put(fmt.Sprintf("u%d", i), i); err != nil {
+				errs <- err
+				return
+			}
+			errs <- j.Flush()
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := j.Stats().Syncs; got < 1 || got > n {
+		t.Fatalf("%d concurrent Flushes ran %d fsyncs, want 1..%d", n, got, n)
+	}
+	if got := fsyncCount() - hist; got > n {
+		t.Fatalf("fsync histogram counted %d fsyncs for %d Flushes", got, n)
+	}
+	// Every record is on disk already: reopen without closing, as a crash
+	// would leave it.
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	for i := 0; i < n; i++ {
+		if !j2.Has(fmt.Sprintf("u%d", i)) {
+			t.Fatalf("u%d lost after its Flush returned", i)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestJournalSyncEvery(t *testing.T) {
+	for _, tc := range []struct {
+		every, puts, want int
+	}{
+		{every: DefaultSyncEvery, puts: 40, want: 2}, // the 16th and 32nd appends
+		{every: 1, puts: 5, want: 5},
+		{every: 0, puts: 40, want: 0}, // durability left to Flush/Close
+	} {
+		j, err := OpenJournal(filepath.Join(t.TempDir(), "units.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.SyncEvery = tc.every
+		for i := 0; i < tc.puts; i++ {
+			if err := j.Put(fmt.Sprintf("u%d", i), i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := j.Stats().Syncs; got != tc.want {
+			t.Errorf("SyncEvery %d: %d puts ran %d fsyncs, want %d", tc.every, tc.puts, got, tc.want)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // --- pool ---
 
 func TestPoolPanicBecomesPanicError(t *testing.T) {

@@ -29,28 +29,38 @@ import (
 // newline or failing checksum. Replay keeps the valid prefix and Open
 // truncates the tear away before appending resumes.
 //
-// Appends are batched: records go through a buffered writer and the file is
-// fsynced every SyncEvery appends (and on Flush/Close). A crash can lose at
-// most the last unsynced batch — those units re-run on resume, which is
-// correct, just not free.
+// Appends are batched: records go through a buffered writer, and Flush is a
+// group commit. The fsync runs outside the append lock behind a synced-
+// through count, so Puts keep appending while it runs, one fsync covers
+// every record appended before it started, and a Flush whose records an
+// earlier fsync already covered (or that has nothing pending) returns
+// without one. Put also flushes every SyncEvery-th append through the same
+// path. A crash can lose at most the records appended since the last fsync
+// — those units re-run on resume, which is correct, just not free.
 //
 // A nil *Journal is valid and remembers nothing: Has reports false, Get
 // finds nothing, Put and Flush succeed. Callers thread an optional journal
 // without branching.
 type Journal struct {
-	mu      sync.Mutex
-	f       *os.File
-	w       *bufio.Writer
-	done    map[string]json.RawMessage
-	pending int
+	mu   sync.Mutex // guards w, done and the counters below
+	f    *os.File
+	w    *bufio.Writer
+	done map[string]json.RawMessage
 
-	// SyncEvery batches fsyncs: the file is synced after every SyncEvery
-	// appends. 1 syncs every record; DefaultSyncEvery balances durability
-	// against sweep throughput. Set before the first Put.
+	// syncMu serializes fsyncs. It is taken before mu, and mu is released
+	// while the fsync runs.
+	syncMu sync.Mutex
+
+	// SyncEvery makes Put flush after every SyncEvery-th append: 1 syncs
+	// every record, DefaultSyncEvery balances durability against sweep
+	// throughput, and 0 leaves durability to the caller's Flush and Close.
+	// Set before the first Put.
 	SyncEvery int
 
-	// stats
+	// appends counts records written this run; the first synced of them
+	// are covered by an fsync.
 	appends  int
+	synced   int
 	syncs    int
 	restored int
 }
@@ -191,9 +201,9 @@ func (j *Journal) Get(key string, v any) (bool, error) {
 }
 
 // Put records a completed unit. The record is immediately visible to
-// Has/Get and durable after the current fsync batch closes (every
-// SyncEvery appends, or on Flush/Close). Re-putting a key overwrites its
-// in-memory value and appends a superseding record.
+// Has/Get and durable once an fsync covers it: the next Flush or Close, or
+// the SyncEvery-th append. Re-putting a key overwrites its in-memory value
+// and appends a superseding record.
 func (j *Journal) Put(key string, v any) error {
 	if j == nil {
 		return nil
@@ -211,48 +221,61 @@ func (j *Journal) Put(key string, v any) error {
 	}
 
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if _, err := fmt.Fprintf(j.w, "%08x %s\n", crc32.ChecksumIEEE(payload), payload); err != nil {
+		j.mu.Unlock()
 		return fmt.Errorf("durable: appending journal record: %w", err)
 	}
 	j.done[key] = raw
 	j.appends++
-	j.pending++
+	seq := j.appends
+	j.mu.Unlock()
 	journalAppends.Inc()
-	batch := j.SyncEvery
-	if batch < 1 {
-		batch = 1
-	}
-	if j.pending >= batch {
-		return j.syncLocked()
+	if j.SyncEvery > 0 && seq%j.SyncEvery == 0 {
+		return j.syncThrough(seq)
 	}
 	return nil
 }
 
-// Flush forces buffered records to disk (bufio flush + fsync).
+// Flush makes every record appended so far durable (bufio flush + fsync),
+// sharing the fsync with concurrent callers.
 func (j *Journal) Flush() error {
 	if j == nil {
 		return nil
 	}
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.syncLocked()
+	seq := j.appends
+	j.mu.Unlock()
+	return j.syncThrough(seq)
 }
 
-func (j *Journal) syncLocked() error {
+// syncThrough is the group commit: it returns once an fsync covers the
+// first seq records of this run. A caller that queued behind a running
+// fsync usually finds its records covered by it and returns without its
+// own; nothing pending means no fsync at all.
+func (j *Journal) syncThrough(seq int) error {
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
+	j.mu.Lock()
+	if j.synced >= seq {
+		j.mu.Unlock()
+		return nil
+	}
 	start := time.Now()
-	if err := j.w.Flush(); err != nil {
+	err := j.w.Flush()
+	through := j.appends
+	j.mu.Unlock()
+	if err != nil {
 		return fmt.Errorf("durable: flushing journal: %w", err)
 	}
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("durable: syncing journal: %w", err)
 	}
-	if j.pending > 0 {
-		j.syncs++
-		journalSyncs.Inc()
-		journalFsync.ObserveSince(start)
-	}
-	j.pending = 0
+	j.mu.Lock()
+	j.synced = through
+	j.syncs++
+	j.mu.Unlock()
+	journalSyncs.Inc()
+	journalFsync.ObserveSince(start)
 	return nil
 }
 
@@ -312,7 +335,8 @@ type JournalStats struct {
 	Restored int `json:"restored"`
 	// Appends counts records written this run.
 	Appends int `json:"appends"`
-	// Syncs counts fsync batches this run.
+	// Syncs counts fsyncs this run; one group commit can cover many
+	// appends and many Flush calls.
 	Syncs int `json:"syncs"`
 }
 

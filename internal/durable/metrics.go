@@ -8,9 +8,9 @@ import "elevprivacy/internal/obs"
 // Journal series answer "is checkpointing keeping up":
 //
 //	elevpriv_journal_appends_total   records written this process
-//	elevpriv_journal_syncs_total     fsync batches closed
-//	elevpriv_journal_fsync_seconds   fsync latency (flush+sync, the stall
-//	                                 a Put can hit when the batch closes)
+//	elevpriv_journal_syncs_total     group-commit fsyncs run
+//	elevpriv_journal_fsync_seconds   group-commit latency (flush+sync; a
+//	                                 Flush with nothing pending runs none)
 //	elevpriv_journal_restored_total  units replayed from disk at open
 //
 // Pool series answer "is the sweep making progress":

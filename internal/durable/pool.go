@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -54,8 +55,10 @@ type Pool struct {
 // ForEachIndex runs fn(ctx, i) for i in [0, n) over the pool. The first
 // failure cancels the shared context; after all workers finish, the
 // lowest-index error among the units that actually ran wins, so concurrent
-// sweeps fail deterministically. (A unit dispatched after the cancel is
-// skipped, not failed — it records no error.)
+// sweeps fail deterministically. (A unit above the lowest failed index that
+// a worker reaches after the failure is skipped, not failed — it records no
+// error. Every unit below it still runs, so the lowest failing unit always
+// does.)
 // When the pool drains mid-run the lowest undispatched index reports
 // ErrInterrupted (unless an earlier unit failed harder).
 func (p Pool) ForEachIndex(ctx context.Context, n int, fn func(context.Context, int) error) error {
@@ -75,6 +78,8 @@ func (p Pool) ForEachIndex(ctx context.Context, n int, fn func(context.Context, 
 
 	errs := make([]error, n)
 	var failed sync.Once
+	var lowestFailed atomic.Int64
+	lowestFailed.Store(int64(n))
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -82,11 +87,16 @@ func (p Pool) ForEachIndex(ctx context.Context, n int, fn func(context.Context, 
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				if ctx.Err() != nil {
+				// Indices arrive in order, so every index below i is
+				// already with a worker.
+				if parent.Err() != nil || int64(i) > lowestFailed.Load() {
 					return
 				}
 				if err := p.runUnit(ctx, i, fn); err != nil {
 					errs[i] = err
+					for cur := lowestFailed.Load(); int64(i) < cur && !lowestFailed.CompareAndSwap(cur, int64(i)); {
+						cur = lowestFailed.Load()
+					}
 					failed.Do(cancel)
 				}
 			}

@@ -169,7 +169,10 @@ func Resample(signal []float64, n int) ([]float64, error) {
 			lo = len(signal) - 2
 		}
 		frac := pos - float64(lo)
-		out[i] = signal[lo]*(1-frac) + signal[lo+1]*frac
+		a, b := signal[lo], signal[lo+1]
+		// Rounding can carry the blend an ulp past its segment's ends (to
+		// ±Inf near ±MaxFloat64), so clamp it back onto the segment.
+		out[i] = min(max(a*(1-frac)+b*frac, min(a, b)), max(a, b))
 	}
 	return out, nil
 }

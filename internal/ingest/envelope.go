@@ -7,21 +7,22 @@
 //
 // The pipeline is the harvester→spooler→publisher shape (ROADMAP item 2):
 //
-//	HTTP POST /ingest ── decode+bound ── intake journal (fsync before ack)
+//	HTTP POST /ingest ── decode+bound ── intake journal (one fsync per
+//	      │                                   │         request, before ack)
+//	      ├── spool (SpoolDepth slots) ───────┤ spool full → backlog (spill)
+//	      │   rows wait for the request's Sync, then queue for the batcher
 //	      │                                   │
-//	      ├── spool (size-bounded channel) ───┤ spool full → backlog (spill)
-//	      │                                   │
-//	  batcher (size/age bounds) ── classifier (stage deadline, fault-injectable)
-//	      │                                   │
-//	  results journal (fsync-batched) ◄───────┘ failure → backlog (requeue)
+//	  batcher (idle → take ≤ MaxBatch) ── classifier (stage deadline,
+//	      │                                   │        fault-injectable)
+//	  results journal (fsync at drain) ◄──────┘ failure → backlog (requeue)
 //	      ▲
 //	  replayer (drains backlog into the spool when capacity returns;
 //	            on restart, backlog = intake − results)
 //
-// Memory is bounded end to end: the spool is a fixed-capacity channel, the
-// backlog is capped by Config.MaxBacklog (past it, accepts shed with 429 so
-// pooled clients back off), and per-line decoding enforces MaxLineBytes so a
-// hostile upload cannot balloon the heap.
+// Memory is bounded end to end: the spool holds at most SpoolDepth rows,
+// the backlog is capped by Config.MaxBacklog (past it, accepts shed with
+// 429 so pooled clients back off), and per-line decoding enforces
+// MaxLineBytes so a hostile upload cannot balloon the heap.
 package ingest
 
 import (

@@ -33,10 +33,11 @@ import "elevprivacy/internal/obs"
 //
 // Gauges and histograms answer "is the spooler keeping up":
 //
-//	elevpriv_ingest_spool_depth        activities queued right now
+//	elevpriv_ingest_spool_depth        activities holding spool slots right
+//	                                   now (awaiting a Sync or queued)
 //	elevpriv_ingest_backlog_depth      accepted-but-unqueued activities
-//	elevpriv_ingest_spool_age_seconds  queue age of the oldest member of the
-//	                                   batch being formed
+//	elevpriv_ingest_spool_age_seconds  time since accept of the oldest
+//	                                   member of the batch just dispatched
 //	elevpriv_ingest_batch_seconds      per-batch classify latency
 //	elevpriv_ingest_batch_size         activities per classified batch
 var (

@@ -26,16 +26,14 @@ type Classifier interface {
 // Config tunes the pipeline's bounds. Every bound exists to keep some
 // resource finite under overload: SpoolDepth bounds queued profiles,
 // MaxBacklog bounds the accepted-but-unclassified set (past it the front
-// door sheds), MaxBatch/MaxBatchAge bound how much latency batching may
-// add, StageTimeout bounds how long one wedged classifier call can stall
-// the belt.
+// door sheds), MaxBatch bounds one classifier call, StageTimeout bounds
+// how long one wedged classifier call can stall the belt.
 type Config struct {
-	// SpoolDepth is the bounded queue between accept and classify.
+	// SpoolDepth bounds the activities between accept and classify: those
+	// waiting for a Sync plus those handed to the batcher.
 	SpoolDepth int
 	// MaxBatch is the largest batch handed to the classifier.
 	MaxBatch int
-	// MaxBatchAge bounds how long a partial batch waits for more rows.
-	MaxBatchAge time.Duration
 	// MaxBacklog bounds accepted-but-unclassified activities; an accept
 	// that would exceed it is shed with a retry hint instead of journaled.
 	MaxBacklog int
@@ -45,10 +43,6 @@ type Config struct {
 	// ReplayInterval is how often the replayer tries to move backlog
 	// entries into free spool capacity.
 	ReplayInterval time.Duration
-	// SyncEvery is the journals' fsync batch (1 = every record). The
-	// intake journal is additionally flushed by every Sync call, which the
-	// HTTP layer issues before acknowledging a request.
-	SyncEvery int
 	// Limits bounds decoded envelopes (re-checked on Accept).
 	Limits Limits
 	// Logf receives requeue/replay diagnostics; nil means the process obs
@@ -64,27 +58,15 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 256
 	}
-	if c.MaxBatchAge <= 0 {
-		c.MaxBatchAge = 50 * time.Millisecond
-	}
 	if c.MaxBacklog <= 0 {
 		c.MaxBacklog = 1 << 16
 	}
 	if c.ReplayInterval <= 0 {
 		c.ReplayInterval = 200 * time.Millisecond
 	}
-	if c.SyncEvery <= 0 {
-		c.SyncEvery = DefaultSyncEvery
-	}
 	c.Limits = c.Limits.withDefaults()
 	return c
 }
-
-// DefaultSyncEvery is the ingest journals' fsync batch. Tighter than the
-// mining default (durable.DefaultSyncEvery = 16): the spill journal is the
-// loss bound for live traffic, and the per-request Sync already amortizes
-// multi-line uploads, so small batches cost little.
-const DefaultSyncEvery = 4
 
 // Journal file names inside the pipeline directory.
 const (
@@ -96,7 +78,8 @@ const (
 type Status int
 
 const (
-	// Accepted: journaled, queued for classification.
+	// Accepted: journaled, holding a spool slot; the next Sync queues it
+	// for classification.
 	Accepted Status = iota
 	// Spilled: journaled, but the spool was full — parked in the backlog
 	// for the replayer. Still durably accepted.
@@ -139,20 +122,36 @@ type spoolItem struct {
 // Pipeline is the running spooler: Accept at the front, a batcher and
 // replayer behind, two journals underneath. Construct with Open, stop with
 // Drain.
+//
+// The intake journal is fsynced only by Sync (once per request, before the
+// ack) and Drain; the results journal only at Drain. A result lost to a
+// crash leaves its activity in intake − results, so it is classified
+// again on restart, to the same bytes.
 type Pipeline struct {
 	cfg     Config
 	cls     Classifier
 	intake  *durable.Journal // id → Envelope, appended before the ack
 	results *durable.Journal // id → predicted label
 
-	spool   chan spoolItem
 	drainCh chan struct{}
 	wg      sync.WaitGroup
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// ready wakes the batcher when rows are queued or the drain begins.
+	ready sync.Cond
+	// The spool, at most SpoolDepth rows: awaiting holds accepted rows no
+	// Sync has covered yet, queue the rows handed to the batcher. handed
+	// counts the rows ever moved from awaiting to queue, so a Sync can name
+	// the prefix of awaiting its fsync covers.
+	awaiting []spoolItem
+	queue    []spoolItem
+	handed   int
 	backlog  map[string]struct{} // accepted, durable, not in the spool
 	inflight map[string]struct{} // in the spool or mid-classify
 	draining bool
+
+	// batch is the batcher's MaxBatch-row buffer, reused for every batch.
+	batch []spoolItem
 
 	accepted   atomic.Int64
 	duplicates atomic.Int64
@@ -192,20 +191,23 @@ func Open(dir string, cfg Config, cls Classifier) (*Pipeline, error) {
 		_ = intake.Close()
 		return nil, err
 	}
-	intake.SyncEvery = cfg.SyncEvery
-	results.SyncEvery = cfg.SyncEvery
+	// Neither journal fsyncs on Put: Sync and Drain flush the intake,
+	// Drain the results.
+	intake.SyncEvery = 0
+	results.SyncEvery = 0
 
 	p := &Pipeline{
 		cfg:      cfg,
 		cls:      cls,
 		intake:   intake,
 		results:  results,
-		spool:    make(chan spoolItem, cfg.SpoolDepth),
 		drainCh:  make(chan struct{}),
 		backlog:  make(map[string]struct{}),
 		inflight: make(map[string]struct{}),
+		batch:    make([]spoolItem, 0, cfg.MaxBatch),
 		logf:     cfg.Logf,
 	}
+	p.ready.L = &p.mu
 	if p.logf == nil {
 		p.logf = func(format string, args ...any) { obs.DefaultLogger().Errorf(format, args...) }
 	}
@@ -227,9 +229,12 @@ func Open(dir string, cfg Config, cls Classifier) (*Pipeline, error) {
 // Accept admits one validated envelope. The envelope is journaled before
 // Accept returns Accepted or Spilled — after the caller's next Sync it can
 // never be lost — and is deduplicated by ID against everything already
-// accepted. Shed means nothing was recorded and the client must retry
-// later. The returned error is an internal failure (journal I/O), except
-// ErrDraining which accompanies Shed during shutdown.
+// accepted. An Accepted envelope holds a spool slot but reaches the
+// classifier only once a Sync (or the Drain) covers it; Spilled means the
+// spool was full and the replayer feeds it in later. Shed means nothing
+// was recorded and the client must retry later. The returned error is an
+// internal failure (journal I/O), except ErrDraining which accompanies
+// Shed during shutdown.
 func (p *Pipeline) Accept(env Envelope) (Status, error) {
 	if err := env.Validate(p.cfg.Limits); err != nil {
 		return Shed, err
@@ -285,31 +290,65 @@ func (p *Pipeline) Accept(env Envelope) (Status, error) {
 	mAccepted.Inc()
 
 	item := spoolItem{id: env.ID, region: env.Region, elevs: env.Elevations, enq: time.Now()}
-	select {
-	case p.spool <- item:
-		mSpoolDepth.Set(float64(len(p.spool)))
-		return Accepted, nil
-	default:
-		// Spool full: the activity is durable in the intake journal, so
-		// park the ID and let the replayer feed it back when the
-		// classifier catches up. This is the graceful-degradation path:
-		// accept → spill → recover, never lose.
-		p.mu.Lock()
-		delete(p.inflight, env.ID)
-		p.backlog[env.ID] = struct{}{}
-		depth := len(p.backlog)
+	p.mu.Lock()
+	if spool := len(p.awaiting) + len(p.queue); spool < p.cfg.SpoolDepth {
+		p.awaiting = append(p.awaiting, item)
 		p.mu.Unlock()
-		p.spilled.Add(1)
-		mSpilled.Inc()
-		mBacklogDepth.Set(float64(depth))
-		return Spilled, nil
+		mSpoolDepth.Set(float64(spool + 1))
+		return Accepted, nil
 	}
+	// Spool full: the activity is durable in the intake journal, so park
+	// the ID and let the replayer feed it back when the classifier catches
+	// up. This is the graceful-degradation path: accept → spill → recover,
+	// never lose.
+	delete(p.inflight, env.ID)
+	p.backlog[env.ID] = struct{}{}
+	depth := len(p.backlog)
+	p.mu.Unlock()
+	p.spilled.Add(1)
+	mSpilled.Inc()
+	mBacklogDepth.Set(float64(depth))
+	return Spilled, nil
 }
 
-// Sync makes every accepted-so-far envelope durable. The HTTP layer calls
-// it once per request, before the acknowledgment — the fsync cost is
-// amortized over the request's lines instead of paid per activity.
-func (p *Pipeline) Sync() error { return p.intake.Flush() }
+// Sync makes every accepted-so-far envelope durable, then hands the rows
+// its fsync covered to the batcher. The HTTP layer calls it once per
+// request, before the acknowledgment: the fsync is shared by the request's
+// lines (and, through the journal's group commit, by concurrent requests),
+// and the request's rows reach an idle batcher as one batch.
+func (p *Pipeline) Sync() error {
+	p.mu.Lock()
+	through := p.handed + len(p.awaiting)
+	p.mu.Unlock()
+	if err := p.intake.Flush(); err != nil {
+		return err
+	}
+	p.mu.Lock()
+	p.handOverLocked(through)
+	p.mu.Unlock()
+	return nil
+}
+
+// handOverLocked moves the rows of awaiting numbered below through (in
+// handed's count) to the batcher's queue.
+func (p *Pipeline) handOverLocked(through int) {
+	n := through - p.handed
+	if n <= 0 {
+		return
+	}
+	p.queue = append(p.queue, p.awaiting[:n]...)
+	p.awaiting = shift(p.awaiting, n)
+	p.handed = through
+	p.ready.Signal()
+}
+
+// shift drops the first n items of s in place, clearing the vacated tail
+// so the spool keeps no stale profile reachable.
+func shift(s []spoolItem, n int) []spoolItem {
+	m := copy(s, s[n:])
+	clear(s[m:])
+	return s[:m]
+}
 
 // RetryAfterHint is the backoff a shed client should honor, scaled with
 // backlog pressure: an almost-empty backlog hints 1 s, a full one hints
@@ -323,73 +362,45 @@ func (p *Pipeline) RetryAfterHint() time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// batcher is the classify stage: pull one item, widen the batch under the
-// size/age bounds, classify under the stage deadline, record results.
+// batcher is the classify stage: whenever it is idle, it takes everything
+// queued, up to MaxBatch rows, and classifies it. There is no timer: rows
+// handed over during a classify form the next batch, so batches grow with
+// load and an idle belt adds no wait.
 func (p *Pipeline) batcher() {
 	defer p.wg.Done()
 	for {
-		first, ok := p.nextItem()
-		if !ok {
+		batch := p.nextBatch()
+		if len(batch) == 0 {
 			return
 		}
-		p.classifyBatch(p.fillBatch(first))
+		p.classifyBatch(batch)
 	}
 }
 
-// nextItem blocks for the next spooled activity; ok=false means the drain
-// began and the spool is empty — the belt stops.
-func (p *Pipeline) nextItem() (spoolItem, bool) {
-	select {
-	case it := <-p.spool:
-		return it, true
-	case <-p.drainCh:
-		select {
-		case it := <-p.spool:
-			return it, true
-		default:
-			return spoolItem{}, false
-		}
+// nextBatch blocks until rows are queued and moves up to MaxBatch of them
+// into the reused batch buffer. An empty batch means the drain began and
+// the queue is empty — the belt stops.
+func (p *Pipeline) nextBatch() []spoolItem {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for len(p.queue) == 0 && !p.draining {
+		p.ready.Wait()
 	}
-}
-
-// fillBatch widens the batch around first until MaxBatch rows, MaxBatchAge
-// elapses, or a drain flushes whatever is immediately available.
-func (p *Pipeline) fillBatch(first spoolItem) []spoolItem {
-	batch := make([]spoolItem, 1, p.cfg.MaxBatch)
-	batch[0] = first
-	if p.cfg.MaxBatch == 1 {
-		return batch
-	}
-	timer := time.NewTimer(p.cfg.MaxBatchAge)
-	defer timer.Stop()
-	for len(batch) < p.cfg.MaxBatch {
-		select {
-		case it := <-p.spool:
-			batch = append(batch, it)
-		case <-timer.C:
-			return batch
-		case <-p.drainCh:
-			for len(batch) < p.cfg.MaxBatch {
-				select {
-				case it := <-p.spool:
-					batch = append(batch, it)
-				default:
-					return batch
-				}
-			}
-			return batch
-		}
-	}
-	return batch
+	n := min(len(p.queue), p.cfg.MaxBatch)
+	p.batch = append(p.batch[:0], p.queue[:n]...)
+	p.queue = shift(p.queue, n)
+	mSpoolDepth.Set(float64(len(p.awaiting) + len(p.queue)))
+	return p.batch
 }
 
 // classifyBatch runs one batch through the classifier and records the
 // outcome: predictions to the results journal on success, every member
 // back to the backlog on failure or timeout (the replayer retries them).
 func (p *Pipeline) classifyBatch(batch []spoolItem) {
-	mSpoolDepth.Set(float64(len(p.spool)))
 	mSpoolAge.Set(time.Since(batch[0].enq).Seconds())
 
+	// profiles is fresh per batch: a classify abandoned past StageTimeout
+	// still reads it after batch is reused.
 	profiles := make([][]float64, len(batch))
 	for i := range batch {
 		profiles[i] = batch[i].elevs
@@ -506,7 +517,7 @@ func (p *Pipeline) replayer() {
 func (p *Pipeline) replayOnce() {
 	for {
 		p.mu.Lock()
-		if len(p.backlog) == 0 || len(p.spool) == cap(p.spool) {
+		if len(p.backlog) == 0 || len(p.awaiting)+len(p.queue) >= p.cfg.SpoolDepth {
 			depth := len(p.backlog)
 			p.mu.Unlock()
 			mBacklogDepth.Set(float64(depth))
@@ -527,31 +538,36 @@ func (p *Pipeline) replayOnce() {
 			p.logf("ingest: backlog entry %s unreadable (ok=%v err=%v), dropped", id, ok, err)
 			continue
 		}
-		item := spoolItem{id: id, region: env.Region, elevs: env.Elevations, enq: time.Now()}
-		select {
-		case p.spool <- item:
-			delete(p.backlog, id)
-			p.inflight[id] = struct{}{}
-			p.mu.Unlock()
-			p.replayed.Add(1)
-			mReplayed.Inc()
-		default:
-			p.mu.Unlock()
-			return
-		}
+		p.queue = append(p.queue, spoolItem{id: id, region: env.Region, elevs: env.Elevations, enq: time.Now()})
+		delete(p.backlog, id)
+		p.inflight[id] = struct{}{}
+		p.ready.Signal()
+		p.mu.Unlock()
+		p.replayed.Add(1)
+		mReplayed.Inc()
 	}
 }
 
-// Drain is the two-phase stop. Phase one (always): stop accepting, let the
-// batcher flush everything already spooled, then flush and close both
-// journals. Phase two (ctx cancelled): stop waiting — whatever was not
-// classified stays accepted-but-pending in the intake journal and replays
-// on the next start. Drain is idempotent; concurrent calls share the same
-// shutdown.
+// Drain is the two-phase stop. Phase one (always): stop accepting, hand
+// the batcher the rows no Sync has covered yet, let it classify everything
+// spooled, then flush and close both journals. Phase two (ctx cancelled):
+// stop waiting — whatever was not classified stays accepted-but-pending in
+// the intake journal and replays on the next start. Drain is idempotent;
+// concurrent calls share the same shutdown.
 func (p *Pipeline) Drain(ctx context.Context) error {
 	p.mu.Lock()
 	already := p.draining
 	p.draining = true
+	if !already {
+		// Under p.mu no Accept can add to awaiting, so this fsync covers
+		// every row in it.
+		if err := p.intake.Flush(); err != nil {
+			p.logf("ingest: drain: syncing intake journal: %v; unsynced rows replay on restart", err)
+		} else {
+			p.handOverLocked(p.handed + len(p.awaiting))
+		}
+		p.ready.Broadcast()
+	}
 	p.mu.Unlock()
 	if !already {
 		close(p.drainCh)
@@ -608,7 +624,8 @@ type Stats struct {
 	BatchFailures int64 `json:"batch_failures"`
 	// Restored is the backlog recovered from the journals at open.
 	Restored int64 `json:"restored"`
-	// SpoolDepth/Backlog/InFlight are instantaneous queue depths.
+	// SpoolDepth/Backlog/InFlight are instantaneous queue depths; the spool
+	// counts rows waiting for a Sync and rows handed to the batcher.
 	SpoolDepth int `json:"spool_depth"`
 	Backlog    int `json:"backlog"`
 	InFlight   int `json:"in_flight"`
@@ -622,7 +639,7 @@ type Stats struct {
 // Stats snapshots the counters and depths.
 func (p *Pipeline) Stats() Stats {
 	p.mu.Lock()
-	backlog, inflight := len(p.backlog), len(p.inflight)
+	spool, backlog, inflight := len(p.awaiting)+len(p.queue), len(p.backlog), len(p.inflight)
 	p.mu.Unlock()
 	return Stats{
 		Accepted:      p.accepted.Load(),
@@ -635,7 +652,7 @@ func (p *Pipeline) Stats() Stats {
 		BatchTimeouts: p.timeouts.Load(),
 		BatchFailures: p.failures.Load(),
 		Restored:      p.restored,
-		SpoolDepth:    len(p.spool),
+		SpoolDepth:    spool,
 		Backlog:       backlog,
 		InFlight:      inflight,
 		Intake:        p.intake.Len(),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -20,6 +21,7 @@ type testClassifier struct {
 
 	mu      sync.Mutex
 	started int             // batches that reached the classifier
+	sizes   []int           // rows per batch, in arrival order
 	counts  map[float64]int // profile[0] → classify count
 }
 
@@ -32,6 +34,7 @@ func label(first float64) string { return "region-" + strconv.Itoa(int(first)%4)
 func (c *testClassifier) ClassifyBatch(profiles [][]float64) ([]string, error) {
 	c.mu.Lock()
 	c.started++
+	c.sizes = append(c.sizes, len(profiles))
 	c.mu.Unlock()
 	if c.gate != nil {
 		<-c.gate
@@ -50,6 +53,12 @@ func (c *testClassifier) batchesStarted() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.started
+}
+
+func (c *testClassifier) batchSizes() []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Clone(c.sizes)
 }
 
 func (c *testClassifier) maxCount() int {
@@ -96,7 +105,7 @@ func mustAccept(t *testing.T, p *Pipeline, e Envelope, want Status) {
 
 func TestPipelineClassifiesExactlyOnce(t *testing.T) {
 	cls := newTestClassifier()
-	p, err := Open(t.TempDir(), Config{Logf: discardLogf, MaxBatch: 8, MaxBatchAge: 5 * time.Millisecond}, cls)
+	p, err := Open(t.TempDir(), Config{Logf: discardLogf, MaxBatch: 8}, cls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +144,7 @@ func TestPipelineStreamingMatchesBatchOrder(t *testing.T) {
 	// Whatever batch boundaries the spooler picked, the sorted results dump
 	// must equal the one-batch-offline computation over the same envelopes.
 	cls := newTestClassifier()
-	p, err := Open(t.TempDir(), Config{Logf: discardLogf, SpoolDepth: 4, MaxBatch: 3, MaxBatchAge: time.Millisecond}, cls)
+	p, err := Open(t.TempDir(), Config{Logf: discardLogf, SpoolDepth: 4, MaxBatch: 3}, cls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,6 +163,9 @@ func TestPipelineStreamingMatchesBatchOrder(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
+	}
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
 	}
 	waitFor(t, "all activities classified", func() bool { return p.Stats().Results == n })
 
@@ -182,7 +194,7 @@ func TestPipelineCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	stuck := newTestClassifier()
 	stuck.gate = make(chan struct{}) // never closed
-	p1, err := Open(dir, Config{Logf: discardLogf, SpoolDepth: 64, MaxBatch: 8, MaxBatchAge: time.Millisecond}, stuck)
+	p1, err := Open(dir, Config{Logf: discardLogf, SpoolDepth: 64, MaxBatch: 8}, stuck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +213,7 @@ func TestPipelineCrashRecovery(t *testing.T) {
 	// Incarnation two restores the backlog from the journals and finishes
 	// the job — every accepted activity classified exactly once.
 	cls := newTestClassifier()
-	p2, err := Open(dir, Config{Logf: discardLogf, MaxBatch: 8, MaxBatchAge: time.Millisecond}, cls)
+	p2, err := Open(dir, Config{Logf: discardLogf, MaxBatch: 8}, cls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,6 +248,9 @@ func TestPipelineSpillAndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustAccept(t, p, env(0), Accepted)
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	waitFor(t, "classifier to wedge on the first batch", func() bool { return cls.batchesStarted() == 1 })
 
 	const n = 10
@@ -279,6 +294,9 @@ func TestPipelineShedsAtBacklogBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustAccept(t, p, env(0), Accepted)
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	waitFor(t, "classifier to wedge", func() bool { return cls.batchesStarted() == 1 })
 	mustAccept(t, p, env(1), Accepted) // fills the spool
 	mustAccept(t, p, env(2), Spilled)  // backlog 1
@@ -326,9 +344,8 @@ func TestPipelineStageTimeoutRequeues(t *testing.T) {
 	})
 	defer close(first)
 
-	p, err := Open(t.TempDir(), Config{Logf: discardLogf, 
+	p, err := Open(t.TempDir(), Config{Logf: discardLogf,
 		MaxBatch:       4,
-		MaxBatchAge:    time.Millisecond,
 		StageTimeout:   30 * time.Millisecond,
 		ReplayInterval: 10 * time.Millisecond,
 	}, cls)
@@ -338,6 +355,9 @@ func TestPipelineStageTimeoutRequeues(t *testing.T) {
 	const n = 4
 	for i := 0; i < n; i++ {
 		mustAccept(t, p, env(i), Accepted)
+	}
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
 	}
 	waitFor(t, "timed-out batch to replay and classify", func() bool { return p.Stats().Results == n })
 	st := p.Stats()
@@ -357,9 +377,8 @@ func TestPipelineRecoversFromInjectedFaults(t *testing.T) {
 	// failed batches requeue and replay until everything is classified once.
 	cls := newTestClassifier()
 	faulty := WithFaults(cls, FaultConfig{Seed: 7, FailProb: 0.5})
-	p, err := Open(t.TempDir(), Config{Logf: discardLogf, 
+	p, err := Open(t.TempDir(), Config{Logf: discardLogf,
 		MaxBatch:       4,
-		MaxBatchAge:    time.Millisecond,
 		ReplayInterval: 5 * time.Millisecond,
 	}, faulty)
 	if err != nil {
@@ -368,6 +387,9 @@ func TestPipelineRecoversFromInjectedFaults(t *testing.T) {
 	const n = 32
 	for i := 0; i < n; i++ {
 		mustAccept(t, p, env(i), Accepted)
+	}
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
 	}
 	waitFor(t, "all activities classified despite faults", func() bool { return p.Stats().Results == n })
 	if got := cls.maxCount(); got != 1 {
@@ -383,7 +405,7 @@ func TestPipelineRecoversFromInjectedFaults(t *testing.T) {
 
 func TestPipelineDrainFlushesAndRefuses(t *testing.T) {
 	cls := newTestClassifier()
-	p, err := Open(t.TempDir(), Config{Logf: discardLogf, MaxBatch: 8, MaxBatchAge: time.Millisecond}, cls)
+	p, err := Open(t.TempDir(), Config{Logf: discardLogf, MaxBatch: 8}, cls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,6 +424,166 @@ func TestPipelineDrainFlushesAndRefuses(t *testing.T) {
 		t.Fatalf("accept after drain = %v, %v; want Shed, ErrDraining", status, err)
 	}
 	// Idempotent: a second drain is a no-op, not a panic or deadlock.
+	if err := p.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPipelineHandsOverOnlyAtSyncOrDrain(t *testing.T) {
+	// No Sync: the rows hold spool slots but never reach the classifier,
+	// even one row at a time; the drain hands them all over.
+	cls := newTestClassifier()
+	p, err := Open(t.TempDir(), Config{Logf: discardLogf, MaxBatch: 1}, cls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	for i := 0; i < n; i++ {
+		mustAccept(t, p, env(i), Accepted)
+	}
+	if got := cls.batchesStarted(); got != 0 {
+		t.Fatalf("%d batches reached the classifier before any Sync", got)
+	}
+	if err := p.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Stats().Results; got != n {
+		t.Fatalf("drain classified %d of %d unsynced activities", got, n)
+	}
+}
+
+func TestPipelineSyncHandsRequestToIdleBatcher(t *testing.T) {
+	cls := newTestClassifier()
+	p, err := Open(t.TempDir(), Config{Logf: discardLogf}, cls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	for i := 0; i < n; i++ {
+		mustAccept(t, p, env(i), Accepted)
+	}
+	// Neither journal fsyncs on Put: the intake waits for the Sync, the
+	// results for the drain.
+	if got := p.intake.Stats().Syncs; got != 0 {
+		t.Fatalf("intake journal ran %d fsyncs before the Sync", got)
+	}
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.intake.Stats().Syncs; got != 1 {
+		t.Fatalf("Sync ran %d intake fsyncs, want 1", got)
+	}
+	waitFor(t, "the request classified", func() bool { return p.Stats().Results == n })
+	if got := cls.batchSizes(); !slices.Equal(got, []int{n}) {
+		t.Fatalf("batches = %v, want one of %d rows", got, n)
+	}
+	if got := p.results.Stats().Syncs; got != 0 {
+		t.Fatalf("results journal ran %d fsyncs on the classify path", got)
+	}
+	if err := p.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.results.Stats().Syncs; got != 1 {
+		t.Fatalf("drain ran %d results fsyncs, want 1", got)
+	}
+}
+
+func TestPipelineRowsSyncedDuringClassifyFormNextBatch(t *testing.T) {
+	cls := newTestClassifier()
+	cls.gate = make(chan struct{})
+	p, err := Open(t.TempDir(), Config{Logf: discardLogf}, cls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accept := func(lo, hi int) {
+		t.Helper()
+		for i := lo; i < hi; i++ {
+			mustAccept(t, p, env(i), Accepted)
+		}
+		if err := p.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	accept(0, 1)
+	waitFor(t, "classifier to block on the first request", func() bool { return cls.batchesStarted() == 1 })
+	accept(1, 6) // two requests synced while the classify is blocked
+	accept(6, 10)
+	close(cls.gate)
+	waitFor(t, "everything classified", func() bool { return p.Stats().Results == 10 })
+	if got := cls.batchSizes(); !slices.Equal(got, []int{1, 9}) {
+		t.Fatalf("batches = %v, want [1 9]", got)
+	}
+	if err := p.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPipelineUnsyncedRowsHoldSpoolSlots(t *testing.T) {
+	cls := newTestClassifier()
+	cls.gate = make(chan struct{})
+	p, err := Open(t.TempDir(), Config{Logf: discardLogf, SpoolDepth: 4, ReplayInterval: 5 * time.Millisecond}, cls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAccept(t, p, env(0), Accepted)
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "classifier to block", func() bool { return cls.batchesStarted() == 1 })
+	mustAccept(t, p, env(1), Accepted)
+	mustAccept(t, p, env(2), Accepted)
+	if err := p.Sync(); err != nil { // two rows queued behind the blocked classify
+		t.Fatal(err)
+	}
+	mustAccept(t, p, env(3), Accepted)
+	mustAccept(t, p, env(4), Accepted) // queued + awaiting a Sync = SpoolDepth
+	mustAccept(t, p, env(5), Spilled)
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	mustAccept(t, p, env(6), Spilled)
+	close(cls.gate)
+	waitFor(t, "spilled rows replayed and classified", func() bool { return p.Stats().Results == 7 })
+	if err := p.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPipelineConcurrentRequestsClassifyExactlyOnce(t *testing.T) {
+	// Requests accept and Sync from several goroutines at once: each row
+	// is handed over exactly once, by whichever Sync's fsync covered it.
+	cls := newTestClassifier()
+	p, err := Open(t.TempDir(), Config{Logf: discardLogf, MaxBatch: 16}, cls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients, requests, lines = 4, 10, 5
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < requests; r++ {
+				for i := 0; i < lines; i++ {
+					e := env((c*requests+r)*lines + i)
+					if status, err := p.Accept(e); status != Accepted || err != nil {
+						t.Errorf("Accept(%s) = %v, %v", e.ID, status, err)
+						return
+					}
+				}
+				if err := p.Sync(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	const n = clients * requests * lines
+	waitFor(t, "every request classified", func() bool { return p.Stats().Results == n })
+	if got := cls.maxCount(); got != 1 {
+		t.Fatalf("some activity was classified %d times, want exactly 1", got)
+	}
 	if err := p.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}

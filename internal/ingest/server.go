@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -28,6 +29,11 @@ type Server struct {
 	logf        func(string, ...any)
 	maxInFlight int
 	reqTimeout  time.Duration
+	// scanBufs keeps idle 64 KiB scanner buffers for handleUpload, so a
+	// request's heap scales with its body rather than with the buffer.
+	// One per CPU covers the uploads that run at once; more allocate
+	// their own.
+	scanBufs chan []byte
 }
 
 // ServerOption configures a Server.
@@ -55,6 +61,7 @@ func NewServer(p *Pipeline, opts ...ServerOption) *Server {
 		logf:        func(format string, args ...any) { obs.DefaultLogger().Errorf(format, args...) },
 		maxInFlight: DefaultMaxInFlight,
 		reqTimeout:  DefaultRequestTimeout,
+		scanBufs:    make(chan []byte, runtime.GOMAXPROCS(0)),
 	}
 	for _, o := range opts {
 		o(s)
@@ -110,7 +117,20 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	sc := bufio.NewScanner(r.Body)
 	// The scanner's buffer is the memory bound for hostile lines: a line
 	// past MaxLineBytes surfaces as ErrTooLong, never as an allocation.
-	sc.Buffer(make([]byte, 64*1024), lim.MaxLineBytes)
+	// Decoded envelopes copy out of it, so it is free again on return.
+	var buf []byte
+	select {
+	case buf = <-s.scanBufs:
+	default:
+		buf = make([]byte, 64*1024)
+	}
+	defer func() {
+		select {
+		case s.scanBufs <- buf:
+		default:
+		}
+	}()
+	sc.Buffer(buf, lim.MaxLineBytes)
 
 	var resp UploadResponse
 	lineNo := 0

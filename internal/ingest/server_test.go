@@ -6,9 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 func newTestServer(t *testing.T, cfg Config, cls Classifier) (*Pipeline, *httptest.Server) {
@@ -42,7 +42,7 @@ func lines(envs ...Envelope) string {
 }
 
 func TestServerUploadAndResults(t *testing.T) {
-	p, srv := newTestServer(t, Config{MaxBatch: 8, MaxBatchAge: time.Millisecond}, newTestClassifier())
+	p, srv := newTestServer(t, Config{MaxBatch: 8}, newTestClassifier())
 
 	resp := postNDJSON(t, srv.URL, lines(env(0), env(1), env(2))+"\n"+lines(env(1)))
 	defer resp.Body.Close()
@@ -99,7 +99,7 @@ func TestServerUploadAndResults(t *testing.T) {
 }
 
 func TestServerRejectsMalformedLineButKeepsPrefix(t *testing.T) {
-	p, srv := newTestServer(t, Config{MaxBatch: 8, MaxBatchAge: time.Millisecond}, newTestClassifier())
+	p, srv := newTestServer(t, Config{MaxBatch: 8}, newTestClassifier())
 
 	body := lines(env(0)) + "{broken json\n" + lines(env(1))
 	resp := postNDJSON(t, srv.URL, body)
@@ -127,8 +127,8 @@ func TestServerRejectsMalformedLineButKeepsPrefix(t *testing.T) {
 
 func TestServerBoundsHostileLine(t *testing.T) {
 	_, srv := newTestServer(t, Config{
-		MaxBatch: 8, MaxBatchAge: time.Millisecond,
-		Limits: Limits{MaxLineBytes: 128},
+		MaxBatch: 8,
+		Limits:   Limits{MaxLineBytes: 128},
 	}, newTestClassifier())
 
 	huge := `{"id":"a","elevations":[` + strings.Repeat("1,", 400) + `1]}` + "\n"
@@ -173,7 +173,7 @@ func TestServerShedsWithRetryAfterWhenBacklogFull(t *testing.T) {
 }
 
 func TestServerRefusesWhileDraining(t *testing.T) {
-	p, srv := newTestServer(t, Config{MaxBatch: 8, MaxBatchAge: time.Millisecond}, newTestClassifier())
+	p, srv := newTestServer(t, Config{MaxBatch: 8}, newTestClassifier())
 	if err := p.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -181,5 +181,37 @@ func TestServerRefusesWhileDraining(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("upload during drain = %d, want 503", resp.StatusCode)
+	}
+}
+
+// allocatedBy returns the bytes f allocates.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+func TestServerUploadHeapScalesWithBody(t *testing.T) {
+	// A one-line upload allocates for its line, not for the 64 KiB scanner
+	// buffer a line could need.
+	p, err := Open(t.TempDir(), Config{Logf: discardLogf}, newTestClassifier())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Drain(context.Background())
+	h := NewServer(p, WithLogf(discardLogf)).Handler()
+	post := func(i int) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(lines(env(i)))))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("upload = %d: %s", rec.Code, rec.Body)
+		}
+	}
+	post(0) // warm-up
+	waitFor(t, "warm-up classified", func() bool { return p.Stats().Results == 1 })
+	if got := allocatedBy(func() { post(1) }); got >= 16<<10 {
+		t.Fatalf("one-line upload allocated %d bytes, want well under the 64 KiB scanner buffer", got)
 	}
 }

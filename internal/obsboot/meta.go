@@ -42,10 +42,7 @@ type RunMeta struct {
 // resume, any previous journal is discarded, so stale state from an
 // unrelated run can never leak in. syncEvery sets the journal's fsync
 // batch (records per fsync; 1 = every record); zero or negative keeps
-// durable.DefaultSyncEvery. Mining checkpoints tolerate the loose default
-// — at worst a crash redoes a few profiles — while the ingest spill path
-// runs much tighter, because there the batch size bounds acknowledged-
-// but-lost activities.
+// durable.DefaultSyncEvery — at worst a crash redoes a few units.
 func OpenJournal(dir, name string, resume bool, syncEvery int) (*durable.Journal, error) {
 	if dir == "" {
 		return nil, nil

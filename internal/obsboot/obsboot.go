@@ -104,21 +104,17 @@ type JournalFlags struct {
 	SyncEvery int
 }
 
-// RegisterJournal declares the journal flags on fs (the default flag set
-// when nil) with def as the -journal-sync-every default. The default
-// differs by workload on purpose: mining checkpoints pass
-// durable.DefaultSyncEvery (a crash redoes at most a few profiles), while
-// the ingest spill path passes a much tighter bound because its fsync
-// batch is the window of acknowledged-but-lost activities.
-func RegisterJournal(fs *flag.FlagSet, def int) *JournalFlags {
+// RegisterJournal declares the work-journal flags of the checkpointing
+// CLIs (elevmine, experiments) on fs (the default flag set when nil).
+// -journal-sync-every defaults to durable.DefaultSyncEvery: a crash redoes
+// at most that many units. The ingest service has no such flag; its
+// journals fsync once per acknowledged request instead (DESIGN.md §5k).
+func RegisterJournal(fs *flag.FlagSet) *JournalFlags {
 	if fs == nil {
 		fs = flag.CommandLine
 	}
-	if def <= 0 {
-		def = durable.DefaultSyncEvery
-	}
 	f := &JournalFlags{}
-	fs.IntVar(&f.SyncEvery, "journal-sync-every", def,
+	fs.IntVar(&f.SyncEvery, "journal-sync-every", durable.DefaultSyncEvery,
 		"journal fsync batch: records appended per fsync (1 = every record)")
 	return f
 }

@@ -25,6 +25,11 @@ type Pipeline struct {
 	// precision records the discretizer for persistence: 0 = floor,
 	// d > 0 = PrecisionDiscretizer(d).
 	precision int
+	// spare keeps the workers' vocabulary-sized tokenVectorizers for the
+	// next batch call, at most GOMAXPROCS of them. Each stays bound to the
+	// vocabulary it was built for, which UnmarshalJSON can replace.
+	spareMu sync.Mutex
+	spare   []*tokenVectorizer
 }
 
 // PipelineConfig configures NewPipeline.
@@ -89,19 +94,40 @@ func NewPipeline(signals [][]float64, cfg PipelineConfig) (*Pipeline, error) {
 func (p *Pipeline) forEachSignal(n int, fn func(lo, hi int, tv *tokenVectorizer)) {
 	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
-		fn(0, n, p.vocab.newTokenVectorizer())
+		p.withVectorizer(func(tv *tokenVectorizer) { fn(0, n, tv) })
 		return
 	}
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
 		wg.Add(1)
-		go func(lo, hi int, tv *tokenVectorizer) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			fn(lo, hi, tv)
-		}(lo, min(lo+chunk, n), p.vocab.newTokenVectorizer())
+			p.withVectorizer(func(tv *tokenVectorizer) { fn(lo, hi, tv) })
+		}(lo, min(lo+chunk, n))
 	}
 	wg.Wait()
+}
+
+// withVectorizer runs fn with a spare vectorizer for p's vocabulary, then
+// keeps it for the next call: appendSparse leaves its counts and mask
+// zeroed.
+func (p *Pipeline) withVectorizer(fn func(tv *tokenVectorizer)) {
+	var tv *tokenVectorizer
+	p.spareMu.Lock()
+	if n := len(p.spare); n > 0 {
+		tv, p.spare = p.spare[n-1], p.spare[:n-1]
+	}
+	p.spareMu.Unlock()
+	if tv == nil || tv.v != p.vocab {
+		tv = p.vocab.newTokenVectorizer()
+	}
+	fn(tv)
+	p.spareMu.Lock()
+	if len(p.spare) < runtime.GOMAXPROCS(0) {
+		p.spare = append(p.spare, tv)
+	}
+	p.spareMu.Unlock()
 }
 
 // Featurization telemetry: batch throughput (rows featurized and wall time

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -334,6 +335,58 @@ func TestPipelinePersistenceTokenPath(t *testing.T) {
 		if want.ColIdx[k] != got.ColIdx[k] || want.Val[k] != got.Val[k] {
 			t.Fatalf("nonzero %d: (%d,%v) before save, (%d,%v) after",
 				k, want.ColIdx[k], want.Val[k], got.ColIdx[k], got.Val[k])
+		}
+	}
+}
+
+// allocatedBy returns the bytes f allocates.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+func TestFeaturesAllSparseReusesScratch(t *testing.T) {
+	cfg := paperConfig()
+	cfg.MinFrequency, cfg.MaxFeatures = 1, 1<<16
+	p := newTestPipeline(t, tokenTestSignals(100, 100, 350, 19), cfg)
+	row := tokenTestSignals(1, 100, 350, 20)
+	want := p.FeaturesAllSparse(row)
+	scratch := uint64(8 * p.vocab.Size()) // one dense count row
+	got := allocatedBy(func() { p.FeaturesAllSparse(row) })
+	t.Logf("second call allocated %d bytes; vocabulary scratch is %d", got, scratch)
+	if got >= scratch/4 {
+		t.Fatalf("second one-row call allocated %d bytes, want well under the %d-byte scratch", got, scratch)
+	}
+	if again := p.FeaturesAllSparse(row); again.NNZ() != want.NNZ() {
+		t.Fatalf("recycled scratch changed the row: nnz %d, want %d", again.NNZ(), want.NNZ())
+	}
+}
+
+func TestFeaturesAllSparseScratchFollowsVocabulary(t *testing.T) {
+	// UnmarshalJSON swaps the vocabulary under a pipeline that has already
+	// cached scratch for the old one.
+	small := newTestPipeline(t, tokenTestSignals(10, 30, 20, 3), paperConfig())
+	large := newTestPipeline(t, tokenTestSignals(60, 100, 350, 19), paperConfig())
+	probe := tokenTestSignals(4, 100, 350, 21)
+	small.FeaturesAllSparse(probe)
+	blob, err := json.Marshal(large)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(blob, small); err != nil {
+		t.Fatal(err)
+	}
+	want, got := large.FeaturesAllSparse(probe), small.FeaturesAllSparse(probe)
+	if want.NNZ() != got.NNZ() {
+		t.Fatalf("nnz %d after reload, want %d", got.NNZ(), want.NNZ())
+	}
+	for k := range want.Val {
+		if want.ColIdx[k] != got.ColIdx[k] || want.Val[k] != got.Val[k] {
+			t.Fatalf("nonzero %d: (%d,%v) after reload, want (%d,%v)",
+				k, got.ColIdx[k], got.Val[k], want.ColIdx[k], want.Val[k])
 		}
 	}
 }
