@@ -35,12 +35,14 @@ test-short:
 ## covers the race detector's ~10-20x slowdown on the experiment suites.
 ## cmd/elevbench is its own Go module, so ./... never reaches it; it is
 ## vetted and tested on its own because it imports the library's APIs.
-## The journal's group commit and the ingest hand-off are lock-ordering
-## code whose races show only in some interleavings, so their packages run
-## ten times more under the race detector.
+## The journal's group commit, the ingest hand-off and the httpx retry loop
+## (breaker, in-flight and jitter state shared by every caller of a pool)
+## are code whose races show only in some interleavings, so their packages
+## and the miner that drives the pools run ten times more under the race
+## detector.
 check: build vet staticcheck test
 	$(GO) test -race -timeout 45m ./...
-	$(GO) test -race -count=10 ./internal/durable ./internal/ingest
+	$(GO) test -race -count=10 ./internal/durable ./internal/ingest ./internal/httpx ./internal/segments
 	cd cmd/elevbench && $(GO) vet ./... && $(GO) test ./...
 
 ## smoke-resume proves the crash-safety contract end to end: a SIGKILLed

@@ -4,10 +4,11 @@
 // sweeps each city boundary with the grid miner and reports what it
 // recovered.
 //
-// Both service clients run through the internal/httpx resilience layer
-// (per-attempt timeouts, bounded retries with backoff, optional rate limit),
-// and -faultrate injects a seeded schedule of transient 503s at the
-// transport seam to demonstrate the sweep shrugging them off.
+// Both service clients run through internal/httpx pools, one per service
+// over its one or more addresses (per-attempt timeouts, bounded retries
+// with backoff, optional rate limit), and -faultrate injects a seeded
+// schedule of transient 503s at the transport seam to demonstrate the sweep
+// shrugging them off.
 //
 // Usage:
 //
@@ -186,36 +187,22 @@ func run() error {
 		}
 	}
 
-	// Single-endpoint tiers go through the classic resilient client (whose
-	// retry loop and limiter the run meta reports on); multi-endpoint tiers
-	// go through consistent-hash pools that own failover themselves.
-	var (
-		segClient, elevClient *httpx.Client
-		segPool, elevPool     *httpx.Pool
-		minerSeg              *segments.Client
-		minerElev             *elevsvc.Client
-	)
-	if len(segURLs) == 1 && len(elevURLs) == 1 {
-		segClient = resilientClient("segments", *rps, *faultRate, *seed)
-		elevClient = resilientClient("elevation", *rps, *faultRate, *seed+1)
-		minerSeg = segments.NewClient(segURLs[0], segClient)
-		minerElev = elevsvc.NewClient(elevURLs[0], elevClient)
-	} else {
-		segPool, err = newPool(segURLs, "segments", poolFlags, *rps, *faultRate, *seed)
-		if err != nil {
-			return err
-		}
-		defer segPool.Close()
-		elevPool, err = newPool(elevURLs, "elevation", poolFlags, *rps, *faultRate, *seed+1)
-		if err != nil {
-			return err
-		}
-		defer elevPool.Close()
-		minerSeg = segments.NewPoolClient(segPool)
-		minerElev = elevsvc.NewPoolClient(elevPool)
+	// Both services go through consistent-hash pools, a pool of one for a
+	// single address; the pools own retries, failover and the -rps limit.
+	segPool, err := newPool(segURLs, "segments", poolFlags, *rps, *faultRate, *seed)
+	if err != nil {
+		return err
+	}
+	defer segPool.Close()
+	elevPool, err := newPool(elevURLs, "elevation", poolFlags, *rps, *faultRate, *seed+1)
+	if err != nil {
+		return err
+	}
+	defer elevPool.Close()
+	if len(segURLs) > 1 || len(elevURLs) > 1 {
 		fmt.Printf("serving tier: %d segment shards, %d elevation shards\n", len(segURLs), len(elevURLs))
 	}
-	miner := segments.NewMiner(minerSeg, minerElev)
+	miner := segments.NewMiner(segments.NewPoolClient(segPool), elevsvc.NewPoolClient(elevPool))
 	miner.GridRows = *grid
 	miner.GridCols = *grid
 	miner.Samples = *samples
@@ -273,28 +260,20 @@ func run() error {
 		}
 		fmt.Printf("wrote %d segments to %s\n", len(mined), *outPath)
 	}
-	mc := mineConfig{
+	cfg, err := json.Marshal(mineConfig{
 		Grid: *grid, Samples: *samples, Seed: *seed, Workers: *workers, Mined: len(mined),
 		Shards: len(segURLs),
-	}
-	clients := map[string]httpx.Stats{}
-	if segPool != nil {
-		mc.Pools = map[string][]httpx.EndpointStats{
+		Pools: map[string][]httpx.EndpointStats{
 			"segments":  segPool.Stats(),
 			"elevation": elevPool.Stats(),
-		}
-	} else {
-		clients["segments"] = segClient.Stats()
-		clients["elevation"] = elevClient.Stats()
-	}
-	cfg, err := json.Marshal(mc)
+		},
+	})
 	if err != nil {
 		return err
 	}
 	if err := obsboot.SaveRunMeta(*ckptDir, "elevmine.meta", obsboot.RunMeta{
 		Tool:    "elevmine",
 		Config:  cfg,
-		Clients: clients,
 		Journal: journal.Stats(),
 	}); err != nil {
 		return err
@@ -326,8 +305,7 @@ type mineConfig struct {
 	Workers int   `json:"workers"`
 	Mined   int   `json:"mined"`
 	Shards  int   `json:"shards,omitempty"`
-	// Pools carries per-endpoint transport stats when the sweep ran against
-	// a sharded tier (the single-endpoint path reports via Clients instead).
+	// Pools carries each service pool's per-endpoint transport stats.
 	Pools map[string][]httpx.EndpointStats `json:"pools,omitempty"`
 }
 
@@ -339,41 +317,6 @@ func writeMined(path string, mined []segments.MinedSegment) error {
 		enc.SetIndent("", " ")
 		return enc.Encode(mined)
 	})
-}
-
-// resilientClient builds the httpx client a sweep talks through: default
-// retry policy, optional rate limit, and — for the -faultrate demo — a
-// seeded fault-injecting transport underneath, so the output stays
-// identical while the transport misbehaves.
-func resilientClient(service string, rps, faultRate float64, seed int64) *httpx.Client {
-	var transport http.RoundTripper = http.DefaultTransport
-	if faultRate > 0 {
-		ft := httpx.NewFaultTripper(transport)
-		ft.Stub(httpx.MatchAll, httpx.RandomFaults(seed, 1<<16, faultRate, httpx.Fault{
-			Delay:  2 * time.Millisecond,
-			Status: http.StatusServiceUnavailable,
-			Body:   "injected transient fault",
-		})...)
-		transport = ft
-	}
-	opts := []httpx.Option{
-		// 8 attempts keeps even a -faultrate 0.3 schedule's unlucky runs
-		// (p^7 per request) from exhausting the budget mid-demo.
-		httpx.WithPolicy(httpx.Policy{
-			MaxAttempts:       8,
-			PerAttemptTimeout: 10 * time.Second,
-			BaseDelay:         25 * time.Millisecond,
-			MaxDelay:          2 * time.Second,
-			Multiplier:        2,
-			Jitter:            0.2,
-		}),
-		httpx.WithBreaker(httpx.NewBreaker(16, 5*time.Second)),
-		httpx.WithMetrics(service),
-	}
-	if rps > 0 {
-		opts = append(opts, httpx.WithLimiter(httpx.NewLimiter(rps, 10)))
-	}
-	return httpx.NewClient(&http.Client{Transport: transport, Timeout: 30 * time.Second}, opts...)
 }
 
 // listen opens a loopback listener and returns its base URL.
@@ -408,10 +351,11 @@ func splitAddrs(s string) []string {
 	return out
 }
 
-// newPool builds the consistent-hash endpoint pool a sharded sweep talks
-// through: per-endpoint breakers and health probes, pool-owned failover,
-// the same -rps self-pacing the single-endpoint client applies, and — for
-// the -faultrate demo — the same seeded fault-injecting transport.
+// newPool builds the consistent-hash endpoint pool a sweep talks through,
+// over one address or many: per-endpoint breakers and health probes,
+// pool-owned retries and failover, optional -rps self-pacing, and — for the
+// -faultrate demo — a seeded fault-injecting transport underneath, so the
+// output stays identical while the transport misbehaves.
 func newPool(baseURLs []string, service string, pf *obsboot.PoolFlags, rps, faultRate float64, seed int64) (*httpx.Pool, error) {
 	var transport http.RoundTripper = http.DefaultTransport
 	if faultRate > 0 {
@@ -423,31 +367,24 @@ func newPool(baseURLs []string, service string, pf *obsboot.PoolFlags, rps, faul
 		})...)
 		transport = ft
 	}
-	var doer httpx.Doer = &http.Client{Transport: transport, Timeout: 30 * time.Second}
-	if rps > 0 {
-		doer = &pacedDoer{doer: doer, limiter: httpx.NewLimiter(rps, 10)}
-	}
 	opts := append(pf.Options(service),
-		httpx.WithPoolTransport(doer),
+		// 8 attempts keeps even a -faultrate 0.3 schedule's unlucky runs
+		// (p^7 per request) from exhausting the budget mid-demo.
+		httpx.WithPoolPolicy(httpx.Policy{
+			MaxAttempts:       8,
+			PerAttemptTimeout: 10 * time.Second,
+			BaseDelay:         25 * time.Millisecond,
+			MaxDelay:          2 * time.Second,
+			Multiplier:        2,
+			Jitter:            0.2,
+		}),
+		httpx.WithPoolTransport(&http.Client{Transport: transport, Timeout: 30 * time.Second}),
 		httpx.WithPoolJitterSeed(seed),
 	)
-	return httpx.NewPool(baseURLs, opts...)
-}
-
-// pacedDoer rate-limits a Doer with a shared token bucket, giving pooled
-// sweeps the same -rps self-pacing the single-endpoint client gets from
-// its built-in limiter. Health probes ride through it too, which is fine:
-// they are rare relative to any realistic budget.
-type pacedDoer struct {
-	doer    httpx.Doer
-	limiter *httpx.Limiter
-}
-
-func (p *pacedDoer) Do(req *http.Request) (*http.Response, error) {
-	if err := p.limiter.Wait(req.Context()); err != nil {
-		return nil, err
+	if rps > 0 {
+		opts = append(opts, httpx.WithPoolLimiter(httpx.NewLimiter(rps, 10)))
 	}
-	return p.doer.Do(req)
+	return httpx.NewPool(baseURLs, opts...)
 }
 
 // serveForever runs both services on fixed addresses until interrupted.

@@ -28,12 +28,16 @@ func EncodePolyline(path Path) string {
 	return sb.String()
 }
 
-// DecodePolyline decodes a Google encoded polyline back to a path.
+// DecodePolyline decodes a Google encoded polyline back to a path. A point
+// off the globe (not LatLng.Valid) is an error naming its byte offset:
+// polylines arrive from the network, and far enough out a float64 no
+// longer holds the format's 1e-5 degree grid.
 func DecodePolyline(s string) (Path, error) {
 	var path Path
 	var lat, lng int64
 	i := 0
 	for i < len(s) {
+		start := i
 		dLat, n, err := decodeSigned(s[i:])
 		if err != nil {
 			return nil, fmt.Errorf("polyline: latitude at byte %d: %w", i, err)
@@ -46,10 +50,11 @@ func DecodePolyline(s string) (Path, error) {
 		i += n
 		lat += dLat
 		lng += dLng
-		path = append(path, LatLng{
-			Lat: float64(lat) / polylineScale,
-			Lng: float64(lng) / polylineScale,
-		})
+		p := LatLng{Lat: float64(lat) / polylineScale, Lng: float64(lng) / polylineScale}
+		if !p.Valid() {
+			return nil, fmt.Errorf("polyline: point at byte %d is off the globe: %v", start, p)
+		}
+		path = append(path, p)
 	}
 	return path, nil
 }

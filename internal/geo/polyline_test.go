@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -111,6 +112,7 @@ func TestDecodePolylineErrors(t *testing.T) {
 		{"odd coordinate count", "_p~iF"},
 		{"invalid byte low", "\x1f\x1f"},
 		{"continuation without end", strings.Repeat("\x7f", 20)},
+		{"latitude off the globe", "axaaaaaaaaFAAA"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -119,6 +121,50 @@ func TestDecodePolylineErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDecodePolylineNamesOffGlobePoint: the error for a point outside
+// the lat/lng domain names the byte where that point starts.
+func TestDecodePolylineNamesOffGlobePoint(t *testing.T) {
+	first := EncodePolyline(Path{{Lat: 1, Lng: 1}})
+	_, err := DecodePolyline(EncodePolyline(Path{{Lat: 1, Lng: 1}, {Lat: 91, Lng: 1}}))
+	if err == nil {
+		t.Fatal("latitude 91 accepted")
+	}
+	if want := fmt.Sprintf("byte %d", len(first)); !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want it to name %q", err, want)
+	}
+}
+
+// FuzzDecodePolyline feeds the decoder arbitrary strings: it must not
+// panic, takes at least two bytes per point, and whatever it accepts must
+// decode the same again after an encode.
+func FuzzDecodePolyline(f *testing.F) {
+	f.Add("_p~iF~ps|U_ulLnnqC_mqNvxq`@")
+	f.Add("")
+	f.Add("??")
+	f.Add("_p~iF~ps|U_")
+	f.Fuzz(func(t *testing.T, s string) {
+		path, err := DecodePolyline(s)
+		if err != nil {
+			return
+		}
+		if len(path) > len(s)/2 {
+			t.Fatalf("%d points from %d bytes", len(path), len(s))
+		}
+		again, err := DecodePolyline(EncodePolyline(path))
+		if err != nil {
+			t.Fatalf("re-decoding the encoding of %v: %v", path, err)
+		}
+		if len(again) != len(path) {
+			t.Fatalf("round trip gave %d points, want %d", len(again), len(path))
+		}
+		for i := range path {
+			if again[i] != path[i] {
+				t.Fatalf("point %d: round trip gave %v, want %v", i, again[i], path[i])
+			}
+		}
+	})
 }
 
 func TestPolylineEncodesPrintableASCII(t *testing.T) {

@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// ErrCircuitOpen is returned (wrapped) by Client.Do when the breaker is
-// refusing attempts. Callers can errors.Is against it to distinguish
-// fail-fast rejections from real transport failures.
+// ErrCircuitOpen is returned (wrapped) by Pool.Get and Client.Do when every
+// endpoint's breaker is refusing attempts. Callers can errors.Is against it
+// to distinguish fail-fast rejections from real transport failures.
 var ErrCircuitOpen = errors.New("circuit breaker open")
 
 type breakerState int
@@ -105,6 +105,18 @@ func (b *Breaker) State() string {
 		return "half-open"
 	default:
 		return "closed"
+	}
+}
+
+// abandon hands back a half-open probe slot whose attempt ended because
+// its caller gave up, which says nothing about the endpoint: the breaker
+// returns to open with its cooldown already elapsed, so the next attempt
+// probes. Nothing but an outcome or this moves a breaker out of half-open.
+func (b *Breaker) abandon() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == breakerHalfOpen {
+		b.state = breakerOpen
 	}
 }
 

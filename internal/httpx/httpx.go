@@ -2,10 +2,12 @@
 // remote services it hammers. The paper's Fig. 4 data-collection stage issues
 // one ExploreSegments call per grid cell and one elevation-profile call per
 // segment — thousands of requests per sweep — so every client request goes
-// through a Client that adds per-attempt timeouts, bounded retries with
-// exponential backoff and jitter (honoring Retry-After), an optional
-// token-bucket rate limiter, and an optional circuit breaker, all behind the
-// same Do contract as *http.Client.
+// through one retry loop, a Pool's (pool.go): per-attempt timeouts, bounded
+// retries with exponential backoff and jitter by round (honoring
+// Retry-After), an optional token-bucket rate limiter, and a circuit
+// breaker per endpoint. A Pool routes over N replicas of a service; a
+// single address is a pool of one, and a Client puts a pool of one behind
+// the same Do contract as *http.Client.
 //
 // A FaultTripper (fault.go) injects seeded error/latency/status schedules at
 // the http.RoundTripper seam, so every failure path is testable hermetically
@@ -14,17 +16,10 @@ package httpx
 
 import (
 	"context"
-	"fmt"
 	"io"
-	"math"
-	"math/rand"
 	"net/http"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
-
-	"elevprivacy/internal/obs"
 )
 
 // Doer is the slice of *http.Client the service clients need. Both
@@ -42,8 +37,9 @@ type Policy struct {
 	// PerAttemptTimeout bounds each individual attempt via a derived
 	// context; 0 disables it (the request context still applies).
 	PerAttemptTimeout time.Duration
-	// BaseDelay is the backoff before the first retry; each further retry
-	// multiplies it by Multiplier, capped at MaxDelay.
+	// BaseDelay is the backoff once a first round of attempts (one per
+	// endpoint) has failed; each further round multiplies it by
+	// Multiplier, capped at MaxDelay.
 	BaseDelay  time.Duration
 	MaxDelay   time.Duration
 	Multiplier float64
@@ -52,279 +48,37 @@ type Policy struct {
 	Jitter float64
 }
 
-// DefaultPolicy is the policy NewClient starts from: 4 attempts, 10 s per
-// attempt, 100 ms base delay doubling to a 5 s cap, ±20 % jitter.
-func DefaultPolicy() Policy {
-	return Policy{
-		MaxAttempts:       4,
-		PerAttemptTimeout: 10 * time.Second,
-		BaseDelay:         100 * time.Millisecond,
-		MaxDelay:          5 * time.Second,
-		Multiplier:        2,
-		Jitter:            0.2,
-	}
-}
-
 // RetryableStatus reports whether an HTTP status is worth retrying:
 // 429 Too Many Requests and every 5xx.
 func RetryableStatus(code int) bool {
 	return code == http.StatusTooManyRequests || (code >= 500 && code <= 599)
 }
 
-// Client wraps a Doer with the retry policy, rate limiter and circuit
-// breaker. The zero value is not usable; construct with NewClient.
+// Client is a single-address client behind the Doer interface: a pool of
+// one whose endpoint has no base URL of its own, so each request goes to
+// its own URL through the pool's retry loop. The zero value is not usable;
+// construct with NewClient.
 type Client struct {
-	base    Doer
-	policy  Policy
-	limiter *Limiter
-	breaker *Breaker
-	sleep   func(context.Context, time.Duration) error
-	metrics *clientMetrics
-
-	mu  sync.Mutex
-	rnd *rand.Rand
-
-	requests         atomic.Int64
-	attempts         atomic.Int64
-	retries          atomic.Int64
-	breakerRejected  atomic.Int64
-	exhaustedRetries atomic.Int64
+	pool *Pool
 }
 
-// Stats is a snapshot of a Client's activity, exposed so long runs can
-// record transport health in checkpoint metadata and shutdown summaries.
-type Stats struct {
-	// Requests counts Do calls.
-	Requests int64 `json:"requests"`
-	// Attempts counts individual tries (>= Requests).
-	Attempts int64 `json:"attempts"`
-	// Retries counts attempts after the first (Attempts - successful or
-	// exhausted first tries).
-	Retries int64 `json:"retries"`
-	// BreakerRejected counts Do calls refused by an open circuit breaker.
-	BreakerRejected int64 `json:"breaker_rejected"`
-	// ExhaustedRetries counts Do calls that burned every attempt and still
-	// failed (transport error) or returned a retryable status.
-	ExhaustedRetries int64 `json:"exhausted_retries"`
-	// Breaker is the circuit breaker's state, empty when none is fitted.
-	Breaker string `json:"breaker,omitempty"`
+// NewClient builds a resilient client over base, starting from the pool
+// defaults (DefaultPoolPolicy, an 8-failure/3 s breaker) that opts may
+// override. A nil base gets an *http.Client with a 30 s overall timeout, so
+// even a misconfigured caller can never hang forever on a dead server.
+func NewClient(base Doer, opts ...PoolOption) *Client {
+	return &Client{pool: newPool([]string{""}, append([]PoolOption{WithPoolTransport(base)}, opts...))}
 }
 
-// Stats returns a point-in-time snapshot of the client's counters and
-// breaker state.
-func (c *Client) Stats() Stats {
-	s := Stats{
-		Requests:         c.requests.Load(),
-		Attempts:         c.attempts.Load(),
-		Retries:          c.retries.Load(),
-		BreakerRejected:  c.breakerRejected.Load(),
-		ExhaustedRetries: c.exhaustedRetries.Load(),
-	}
-	if c.breaker != nil {
-		s.Breaker = c.breaker.State()
-	}
-	return s
-}
-
-// Option configures a Client.
-type Option func(*Client)
-
-// WithPolicy replaces the default retry policy.
-func WithPolicy(p Policy) Option { return func(c *Client) { c.policy = p } }
-
-// WithLimiter rate-limits attempts (nil means unlimited).
-func WithLimiter(l *Limiter) Option { return func(c *Client) { c.limiter = l } }
-
-// WithBreaker guards attempts with a circuit breaker (nil means none).
-func WithBreaker(b *Breaker) Option { return func(c *Client) { c.breaker = b } }
-
-// WithSleep overrides how the client waits between attempts; tests use it to
-// capture delays instead of sleeping through them.
-func WithSleep(sleep func(context.Context, time.Duration) error) Option {
-	return func(c *Client) { c.sleep = sleep }
-}
-
-// WithJitterSeed fixes the jitter RNG, making backoff schedules
-// reproducible.
-func WithJitterSeed(seed int64) Option {
-	return func(c *Client) { c.rnd = rand.New(rand.NewSource(seed)) }
-}
-
-// NewClient builds a resilient client over base. A nil base gets an
-// *http.Client with a 30 s overall timeout, so even a misconfigured caller
-// can never hang forever on a dead server.
-func NewClient(base Doer, opts ...Option) *Client {
-	if base == nil {
-		base = &http.Client{Timeout: 30 * time.Second}
-	}
-	c := &Client{
-		base:   base,
-		policy: DefaultPolicy(),
-		sleep:  sleepContext,
-		rnd:    rand.New(rand.NewSource(rand.Int63())),
-	}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
-}
-
-// Do issues the request, retrying transport errors and retryable statuses
-// (429/5xx) up to Policy.MaxAttempts. Requests with a non-replayable body
-// (Body set but GetBody nil) get exactly one attempt. On a retryable status
-// that survives every attempt the final response is returned unconsumed, so
-// callers can map it to their own error types; on a transport error that
-// survives every attempt the last error is returned wrapped.
+// Do issues the request through the pool's retry loop, retrying transport
+// errors and retryable statuses (429/5xx) up to Policy.MaxAttempts.
+// Requests with a non-replayable body (Body set but GetBody nil) get
+// exactly one attempt. On a retryable status that survives every attempt
+// the final response is returned unconsumed, so callers can map it to their
+// own error types; on a transport error that survives every attempt the
+// last error is returned wrapped.
 func (c *Client) Do(req *http.Request) (*http.Response, error) {
-	attempts := c.policy.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	if req.Body != nil && req.GetBody == nil {
-		attempts = 1
-	}
-	c.requests.Add(1)
-	if c.metrics != nil {
-		c.metrics.requests.Inc()
-	}
-
-	var lastErr error
-	for i := 0; ; i++ {
-		if err := req.Context().Err(); err != nil {
-			return nil, err
-		}
-		waitStart := c.timeIfMetrics()
-		if err := c.limiter.Wait(req.Context()); err != nil {
-			return nil, err
-		}
-		if c.metrics != nil && c.limiter != nil {
-			c.metrics.limiterWait.ObserveSince(waitStart)
-		}
-		if err := c.breaker.Allow(); err != nil {
-			c.breakerRejected.Add(1)
-			if c.metrics != nil {
-				c.metrics.breakerRejected.Inc()
-			}
-			c.observeBreakerState()
-			return nil, fmt.Errorf("httpx: %w", err)
-		}
-
-		c.attempts.Add(1)
-		if c.metrics != nil {
-			c.metrics.attempts.Inc()
-			if i > 0 {
-				c.metrics.retries.Inc()
-			}
-		}
-		if i > 0 {
-			c.retries.Add(1)
-		}
-		attemptStart := c.timeIfMetrics()
-		resp, err := c.attempt(req)
-		if c.metrics != nil {
-			c.metrics.attemptSeconds.ObserveSince(attemptStart)
-		}
-		var delay time.Duration
-		switch {
-		case err != nil:
-			c.breaker.Record(false)
-			c.observeBreakerState()
-			// A dead parent context is the caller giving up, not the
-			// server failing: surface it without burning attempts.
-			if ctxErr := req.Context().Err(); ctxErr != nil {
-				return nil, err
-			}
-			lastErr = err
-			if i == attempts-1 {
-				c.exhaustedRetries.Add(1)
-				if c.metrics != nil {
-					c.metrics.exhausted.Inc()
-				}
-				return nil, fmt.Errorf("httpx: %d attempts: %w", attempts, lastErr)
-			}
-			delay = c.backoff(i)
-		case RetryableStatus(resp.StatusCode):
-			c.breaker.Record(false)
-			c.observeBreakerState()
-			if i == attempts-1 {
-				c.exhaustedRetries.Add(1)
-				if c.metrics != nil {
-					c.metrics.exhausted.Inc()
-				}
-				return resp, nil
-			}
-			delay = c.backoff(i)
-			if ra := retryAfter(resp); ra > delay {
-				delay = ra
-				if c.policy.MaxDelay > 0 && delay > c.policy.MaxDelay {
-					delay = c.policy.MaxDelay
-				}
-			}
-			drainClose(resp)
-		default:
-			c.breaker.Record(true)
-			c.observeBreakerState()
-			return resp, nil
-		}
-
-		if err := c.sleep(req.Context(), delay); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// attempt runs one try under the per-attempt timeout. The derived context's
-// cancel is tied to the response body so the connection is released when the
-// caller closes it.
-func (c *Client) attempt(req *http.Request) (*http.Response, error) {
-	ctx := req.Context()
-	cancel := context.CancelFunc(func() {})
-	if c.policy.PerAttemptTimeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, c.policy.PerAttemptTimeout)
-	}
-	r2 := req.Clone(ctx)
-	// Propagate the caller's span identity so the server can open a
-	// parent-linked span: injected per attempt, so every retry's server-side
-	// span links back to the same client span. Free when tracing is off (no
-	// span in the context means no header).
-	obs.InjectTraceHeader(ctx, r2.Header)
-	if req.GetBody != nil && req.Body != nil {
-		body, err := req.GetBody()
-		if err != nil {
-			cancel()
-			return nil, fmt.Errorf("httpx: rewinding body: %w", err)
-		}
-		r2.Body = body
-	}
-	resp, err := c.base.Do(r2)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
-	return resp, nil
-}
-
-// backoff returns the jittered exponential delay before retry i (0-based).
-func (c *Client) backoff(retry int) time.Duration {
-	p := c.policy
-	d := float64(p.BaseDelay)
-	if p.Multiplier > 0 {
-		d *= math.Pow(p.Multiplier, float64(retry))
-	}
-	if p.Jitter > 0 {
-		c.mu.Lock()
-		f := c.rnd.Float64()
-		c.mu.Unlock()
-		d *= 1 + p.Jitter*(2*f-1)
-	}
-	if p.MaxDelay > 0 && d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
-	}
-	if d < 0 {
-		d = 0
-	}
-	return time.Duration(d)
+	return c.pool.do(req.Context(), 0, req, "")
 }
 
 // retryAfter parses a Retry-After header as either delta-seconds or an HTTP

@@ -50,7 +50,7 @@ func TestRetriesTransientStatusThenSucceeds(t *testing.T) {
 	defer srv.Close()
 
 	ns := &noSleep{}
-	c := NewClient(srv.Client(), WithSleep(ns.sleep), WithJitterSeed(1))
+	c := NewClient(srv.Client(), WithPoolSleep(ns.sleep), WithPoolJitterSeed(1))
 	resp, err := get(t, c, srv.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestExhaustedRetriesReturnFinalResponse(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := NewClient(srv.Client(), WithSleep((&noSleep{}).sleep))
+	c := NewClient(srv.Client(), WithPoolSleep((&noSleep{}).sleep))
 	resp, err := get(t, c, srv.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -92,8 +92,8 @@ func TestExhaustedRetriesReturnFinalResponse(t *testing.T) {
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Errorf("status = %d, want 502 surfaced to caller", resp.StatusCode)
 	}
-	if got := calls.Load(); got != int32(DefaultPolicy().MaxAttempts) {
-		t.Errorf("server saw %d calls, want %d", got, DefaultPolicy().MaxAttempts)
+	if got := calls.Load(); got != int32(DefaultPoolPolicy().MaxAttempts) {
+		t.Errorf("server saw %d calls, want %d", got, DefaultPoolPolicy().MaxAttempts)
 	}
 }
 
@@ -105,7 +105,7 @@ func TestNonRetryableStatusNotRetried(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := NewClient(srv.Client(), WithSleep((&noSleep{}).sleep))
+	c := NewClient(srv.Client(), WithPoolSleep((&noSleep{}).sleep))
 	resp, err := get(t, c, srv.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -129,8 +129,8 @@ func TestHonorsRetryAfter(t *testing.T) {
 	defer srv.Close()
 
 	ns := &noSleep{}
-	c := NewClient(srv.Client(), WithSleep(ns.sleep),
-		WithPolicy(Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Second, Multiplier: 2}))
+	c := NewClient(srv.Client(), WithPoolSleep(ns.sleep),
+		WithPoolPolicy(Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Second, Multiplier: 2}))
 	resp, err := get(t, c, srv.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -154,8 +154,8 @@ func TestRetryAfterCappedByMaxDelay(t *testing.T) {
 	defer srv.Close()
 
 	ns := &noSleep{}
-	c := NewClient(srv.Client(), WithSleep(ns.sleep),
-		WithPolicy(Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Second, Multiplier: 2}))
+	c := NewClient(srv.Client(), WithPoolSleep(ns.sleep),
+		WithPoolPolicy(Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Second, Multiplier: 2}))
 	resp, err := get(t, c, srv.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestRetriesTransportError(t *testing.T) {
 	defer srv.Close()
 	ft.Stub(MatchAll, Fault{Err: boom}, Fault{Err: boom})
 
-	c := NewClient(&http.Client{Transport: ft}, WithSleep((&noSleep{}).sleep))
+	c := NewClient(&http.Client{Transport: ft}, WithPoolSleep((&noSleep{}).sleep))
 	resp, err := get(t, c, srv.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -191,8 +191,8 @@ func TestExhaustedTransportErrorsWrapped(t *testing.T) {
 	ft := NewFaultTripper(nil)
 	ft.Stub(MatchAll, Fault{Err: boom}, Fault{Err: boom}, Fault{Err: boom})
 
-	c := NewClient(&http.Client{Transport: ft}, WithSleep((&noSleep{}).sleep),
-		WithPolicy(Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}))
+	c := NewClient(&http.Client{Transport: ft}, WithPoolSleep((&noSleep{}).sleep),
+		WithPoolPolicy(Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}))
 	_, err := get(t, c, "http://example.invalid/x")
 	if err == nil {
 		t.Fatal("want error after exhausted attempts")
@@ -216,8 +216,8 @@ func TestPerAttemptTimeoutRecovers(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := NewClient(srv.Client(), WithSleep((&noSleep{}).sleep),
-		WithPolicy(Policy{MaxAttempts: 2, PerAttemptTimeout: 50 * time.Millisecond, BaseDelay: time.Millisecond}))
+	c := NewClient(srv.Client(), WithPoolSleep((&noSleep{}).sleep),
+		WithPoolPolicy(Policy{MaxAttempts: 2, PerAttemptTimeout: 50 * time.Millisecond, BaseDelay: time.Millisecond}))
 	resp, err := get(t, c, srv.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +255,7 @@ func TestNonReplayableBodySingleAttempt(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := NewClient(srv.Client(), WithSleep((&noSleep{}).sleep))
+	c := NewClient(srv.Client(), WithPoolSleep((&noSleep{}).sleep))
 	pr, pw := io.Pipe()
 	go func() { _, _ = io.WriteString(pw, "x"); pw.Close() }()
 	req, _ := http.NewRequest(http.MethodPost, srv.URL, pr)
@@ -380,9 +380,8 @@ func TestClientFailsFastWhenBreakerOpen(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	b := NewBreaker(2, time.Hour)
-	c := NewClient(srv.Client(), WithSleep((&noSleep{}).sleep), WithBreaker(b),
-		WithPolicy(Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}))
+	c := NewClient(srv.Client(), WithPoolSleep((&noSleep{}).sleep), WithPoolBreaker(2, time.Hour),
+		WithPoolPolicy(Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}))
 
 	// First Do burns attempts until the breaker trips mid-loop.
 	_, err := get(t, c, srv.URL)
@@ -510,9 +509,9 @@ func TestClientConcurrentUse(t *testing.T) {
 	defer srv.Close()
 
 	c := NewClient(srv.Client(),
-		WithPolicy(Policy{MaxAttempts: 4, BaseDelay: time.Microsecond, MaxDelay: time.Millisecond, Multiplier: 2, Jitter: 0.5}),
-		WithLimiter(NewLimiter(10000, 100)),
-		WithBreaker(NewBreaker(50, time.Millisecond)))
+		WithPoolPolicy(Policy{MaxAttempts: 4, BaseDelay: time.Microsecond, MaxDelay: time.Millisecond, Multiplier: 2, Jitter: 0.5}),
+		WithPoolLimiter(NewLimiter(10000, 100)),
+		WithPoolBreaker(50, time.Millisecond))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

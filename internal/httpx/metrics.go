@@ -1,84 +1,67 @@
 package httpx
 
 import (
-	"time"
-
 	"elevprivacy/internal/obs"
 )
 
-// Client-side telemetry: WithMetrics fits a Client with handles into the
-// process-wide obs registry, labeled by service, so a live sweep's retry
-// storms, breaker trips, and rate-limiter stalls are visible on /metrics
-// while they happen (Stats() remains the end-of-run snapshot).
+// Telemetry: WithPoolMetrics fits a pool (or a Client, a pool of one) with
+// handles into the process-wide obs registry, so a live sweep's retry
+// storms, breaker trips, rate-limiter stalls, balance, failovers and
+// per-shard health are visible on /metrics while they happen
+// (Pool.Stats() remains the end-of-run snapshot). Whatever the endpoint
+// count, it publishes two families. Service level:
 //
-// All series follow the elevpriv_httpx_* scheme:
-//
-//	elevpriv_httpx_requests_total{service=...}         Do calls
-//	elevpriv_httpx_attempts_total{service=...}         individual tries
-//	elevpriv_httpx_retries_total{service=...}          attempts after the first
-//	elevpriv_httpx_breaker_rejected_total{service=...} fail-fast rejections
+//	elevpriv_httpx_requests_total{service=...}          Get/Do calls
+//	elevpriv_httpx_attempts_total{service=...}          individual tries
+//	elevpriv_httpx_retries_total{service=...}           attempts after the first
+//	elevpriv_httpx_breaker_rejected_total{service=...}  fail-fast refusals
 //	elevpriv_httpx_exhausted_retries_total{service=...} budgets burned
-//	elevpriv_httpx_attempt_seconds{service=...}        per-attempt latency
-//	elevpriv_httpx_limiter_wait_seconds{service=...}   rate-limiter stalls
-//	elevpriv_httpx_breaker_state{service=...}          0 closed, 1 half-open, 2 open
-type clientMetrics struct {
+//	elevpriv_httpx_attempt_seconds{service=...}         per-attempt latency
+//	elevpriv_httpx_limiter_wait_seconds{service=...}    rate-limiter stalls
+//	elevpriv_pool_failovers_total{service=...}          attempts moved to another endpoint
+//
+// Endpoint level:
+//
+//	elevpriv_pool_requests_total{service=...,endpoint=...}   attempts issued
+//	elevpriv_pool_failures_total{service=...,endpoint=...}   failed attempts
+//	elevpriv_pool_in_flight{service=...,endpoint=...}        live requests
+//	elevpriv_pool_endpoint_healthy{service=...,endpoint=...} 1 up, 0 down
+//	elevpriv_pool_breaker_state{service=...,endpoint=...}    0 closed, 1 half-open, 2 open
+type poolMetrics struct {
 	requests        *obs.Counter
 	attempts        *obs.Counter
 	retries         *obs.Counter
 	breakerRejected *obs.Counter
 	exhausted       *obs.Counter
+	failovers       *obs.Counter
 	attemptSeconds  *obs.Histogram
 	limiterWait     *obs.Histogram
-	breakerState    *obs.Gauge
-}
 
-// WithMetrics instruments the client under the given service label,
-// recording into the default obs registry. The handles are resolved once
-// here; per-request cost is a handful of atomic adds.
-func WithMetrics(service string) Option {
-	return func(c *Client) {
-		label := `{service="` + service + `"}`
-		c.metrics = &clientMetrics{
-			requests:        obs.GetCounter("elevpriv_httpx_requests_total" + label),
-			attempts:        obs.GetCounter("elevpriv_httpx_attempts_total" + label),
-			retries:         obs.GetCounter("elevpriv_httpx_retries_total" + label),
-			breakerRejected: obs.GetCounter("elevpriv_httpx_breaker_rejected_total" + label),
-			exhausted:       obs.GetCounter("elevpriv_httpx_exhausted_retries_total" + label),
-			attemptSeconds:  obs.GetHistogram("elevpriv_httpx_attempt_seconds"+label, nil),
-			limiterWait:     obs.GetHistogram("elevpriv_httpx_limiter_wait_seconds"+label, nil),
-			breakerState:    obs.GetGauge("elevpriv_httpx_breaker_state" + label),
-		}
-	}
-}
-
-// Pool telemetry: WithPoolMetrics fits a Pool with per-endpoint handles so
-// a sharded sweep's balance, failovers, and per-shard health are visible on
-// /metrics live (Pool.Stats() remains the end-of-run snapshot):
-//
-//	elevpriv_pool_requests_total{service=...,endpoint=...}  attempts issued
-//	elevpriv_pool_failures_total{service=...,endpoint=...}  failed attempts
-//	elevpriv_pool_in_flight{service=...,endpoint=...}       live requests
-//	elevpriv_pool_endpoint_healthy{service=...,endpoint=...} 1 up, 0 down
-//	elevpriv_pool_breaker_state{service=...,endpoint=...}   0/1/2 like httpx
-//	elevpriv_pool_failovers_total{service=...}              re-issued attempts
-type poolMetrics struct {
-	failovers    *obs.Counter
-	requests     []*obs.Counter
+	// Per endpoint, indexed like Pool.endpoints.
+	epRequests   []*obs.Counter
 	failures     []*obs.Counter
 	inFlight     []*obs.Gauge
 	healthy      []*obs.Gauge
 	breakerState []*obs.Gauge
 }
 
-// newPoolMetrics resolves every per-endpoint handle once at pool
-// construction; the per-request cost stays a couple of atomic adds.
+// newPoolMetrics resolves every handle once at pool construction; the
+// per-request cost stays a handful of atomic adds.
 func newPoolMetrics(service string, endpoints []*Endpoint) *poolMetrics {
+	label := `{service="` + service + `"}`
 	m := &poolMetrics{
-		failovers: obs.GetCounter(`elevpriv_pool_failovers_total{service="` + service + `"}`),
+		requests:        obs.GetCounter("elevpriv_httpx_requests_total" + label),
+		attempts:        obs.GetCounter("elevpriv_httpx_attempts_total" + label),
+		retries:         obs.GetCounter("elevpriv_httpx_retries_total" + label),
+		breakerRejected: obs.GetCounter("elevpriv_httpx_breaker_rejected_total" + label),
+		exhausted:       obs.GetCounter("elevpriv_httpx_exhausted_retries_total" + label),
+		failovers:       obs.GetCounter("elevpriv_pool_failovers_total" + label),
+		attemptSeconds:  obs.GetHistogram("elevpriv_httpx_attempt_seconds"+label, nil),
+		limiterWait:     obs.GetHistogram("elevpriv_httpx_limiter_wait_seconds"+label, nil),
 	}
 	for _, ep := range endpoints {
 		label := `{service="` + service + `",endpoint="` + ep.base + `"}`
-		m.requests = append(m.requests, obs.GetCounter("elevpriv_pool_requests_total"+label))
+		m.epRequests = append(m.epRequests, obs.GetCounter("elevpriv_pool_requests_total"+label))
 		m.failures = append(m.failures, obs.GetCounter("elevpriv_pool_failures_total"+label))
 		m.inFlight = append(m.inFlight, obs.GetGauge("elevpriv_pool_in_flight"+label))
 		healthy := obs.GetGauge("elevpriv_pool_endpoint_healthy" + label)
@@ -99,22 +82,4 @@ func breakerStateValue(state string) float64 {
 	default:
 		return 0
 	}
-}
-
-// observeBreakerState publishes the breaker's current state; no-op without
-// metrics or without a breaker.
-func (c *Client) observeBreakerState() {
-	if c.metrics == nil || c.breaker == nil {
-		return
-	}
-	c.metrics.breakerState.Set(breakerStateValue(c.breaker.State()))
-}
-
-// timeIfMetrics returns now only when the client is instrumented, keeping
-// the uninstrumented path free of clock reads.
-func (c *Client) timeIfMetrics() time.Time {
-	if c.metrics == nil {
-		return time.Time{}
-	}
-	return time.Now()
 }

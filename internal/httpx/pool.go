@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"strings"
@@ -23,7 +24,8 @@ import (
 // attempt is re-issued against the next shard on the ring, background
 // /healthz probes mark the corpse down so new requests stop trying it, and
 // its per-endpoint circuit breaker keeps the occasional probe cheap until
-// the instance comes back.
+// the instance comes back. A single address is a pool of one, and so is a
+// Client: the pool's loop (do) is the package's only retry loop.
 
 // ErrNoEndpoints is returned (wrapped) by Pool.Get when every endpoint is
 // refusing attempts (all circuit breakers open).
@@ -74,14 +76,14 @@ type EndpointStats struct {
 	Failures int64  `json:"failures"`
 }
 
-// PoolOption configures a Pool.
+// PoolOption configures a Pool, or a Client, which is a pool of one.
 type PoolOption func(*Pool)
 
-// WithPoolPolicy replaces the pool's failover policy. MaxAttempts bounds
-// tries across all endpoints (not per endpoint); PerAttemptTimeout bounds
-// each try; the backoff fields pace retries only once every endpoint has
-// been tried in the current round — failing over to a fresh endpoint is
-// immediate.
+// WithPoolPolicy replaces the retry policy (default DefaultPoolPolicy).
+// MaxAttempts bounds tries across all endpoints (not per endpoint);
+// PerAttemptTimeout bounds each try; the backoff fields pace retries only
+// once every endpoint has been tried in the current round — failing over
+// to a fresh endpoint is immediate.
 func WithPoolPolicy(p Policy) PoolOption { return func(pl *Pool) { pl.policy = p } }
 
 // WithPoolTransport replaces the Doer attempts are issued through (default:
@@ -101,7 +103,8 @@ func WithPoolBreaker(threshold int, cooldown time.Duration) PoolOption {
 // WithPoolHealthInterval sets the background /healthz probe period;
 // 0 disables background checking (passive marking on transport errors
 // still applies, but a down endpoint is then only re-admitted by its
-// breaker's half-open probes).
+// breaker's half-open probes). A one-endpoint pool never probes: a down
+// mark cannot move traffic off its only endpoint.
 func WithPoolHealthInterval(d time.Duration) PoolOption {
 	return func(pl *Pool) { pl.healthEvery = d }
 }
@@ -114,29 +117,33 @@ func WithPoolDownTTL(d time.Duration) PoolOption {
 	return func(pl *Pool) { pl.downTTL = d }
 }
 
-// WithPoolSleep overrides how the failover loop waits between exhausted
+// WithPoolSleep overrides how the retry loop waits between exhausted
 // rounds; tests use it to capture delays instead of sleeping through them.
 func WithPoolSleep(sleep func(context.Context, time.Duration) error) PoolOption {
 	return func(pl *Pool) { pl.sleep = sleep }
 }
 
-// WithPoolJitterSeed fixes the backoff jitter RNG, making failover
-// schedules reproducible.
+// WithPoolJitterSeed fixes the backoff jitter RNG, making retry schedules
+// reproducible.
 func WithPoolJitterSeed(seed int64) PoolOption {
 	return func(pl *Pool) { pl.rnd = rand.New(rand.NewSource(seed)) }
 }
 
 // WithPoolMetrics instruments the pool under the given service label in the
-// process obs registry (per-endpoint request/failure/in-flight/health
-// series plus the pool's failover counter).
+// process obs registry: the service-level elevpriv_httpx_* series and the
+// per-endpoint elevpriv_pool_* series (metrics.go).
 func WithPoolMetrics(service string) PoolOption {
 	return func(pl *Pool) { pl.metricsService = service }
 }
 
-// DefaultPoolPolicy is the failover policy NewPool starts from: 6 attempts
-// across endpoints (a 4-shard pool survives one dead shard with budget to
-// spare), 10 s per attempt, 50 ms base delay doubling to a 2 s cap, ±20 %
-// jitter between exhausted rounds.
+// WithPoolLimiter rate-limits attempts with a token bucket shared by every
+// endpoint (nil means unlimited). Health probes do not spend its tokens.
+func WithPoolLimiter(l *Limiter) PoolOption { return func(pl *Pool) { pl.limiter = l } }
+
+// DefaultPoolPolicy is the retry policy NewPool and NewClient start from: 6
+// attempts across endpoints (a 4-shard pool survives one dead shard with
+// budget to spare), 10 s per attempt, and between exhausted rounds a 50 ms
+// base delay doubling each round to a 2 s cap, ±20 % jitter.
 func DefaultPoolPolicy() Policy {
 	return Policy{
 		MaxAttempts:       6,
@@ -168,6 +175,7 @@ type Pool struct {
 	ring      *Ring
 	doer      Doer
 	policy    Policy
+	limiter   *Limiter
 	sleep     func(context.Context, time.Duration) error
 
 	healthEvery time.Duration
@@ -190,17 +198,37 @@ type Pool struct {
 }
 
 // NewPool builds a pool over the given base URLs (trailing slashes are
-// normalized away). Endpoints start healthy and are probed on
-// DefaultHealthInterval; every endpoint gets its own circuit breaker
-// (8 consecutive failures, 3 s cooldown) unless WithPoolBreaker overrides
-// it. A single-URL pool behaves like a plain resilient client, so callers
-// can hold a *Pool unconditionally.
+// normalized away). Endpoints start healthy and, in a pool of two or more,
+// are probed on DefaultHealthInterval; every endpoint gets its own circuit
+// breaker (8 consecutive failures, 3 s cooldown) unless WithPoolBreaker
+// overrides it. A single-URL pool behaves like a plain resilient client, so
+// callers can hold a *Pool unconditionally.
 func NewPool(baseURLs []string, opts ...PoolOption) (*Pool, error) {
 	if len(baseURLs) == 0 {
 		return nil, fmt.Errorf("httpx: pool needs at least one base URL")
 	}
+	bases := make([]string, 0, len(baseURLs))
+	seen := make(map[string]bool, len(baseURLs))
+	for _, base := range baseURLs {
+		base = NormalizeBaseURL(base)
+		if base == "" {
+			return nil, fmt.Errorf("httpx: pool: empty base URL")
+		}
+		if seen[base] {
+			return nil, fmt.Errorf("httpx: pool: duplicate base URL %s", base)
+		}
+		seen[base] = true
+		bases = append(bases, base)
+	}
+	return newPool(bases, opts), nil
+}
+
+// newPool builds a pool over validated base URLs. A Client's pool holds one
+// endpoint with an empty base, since each of its requests carries its own
+// URL.
+func newPool(bases []string, opts []PoolOption) *Pool {
 	p := &Pool{
-		ring:             NewRing(len(baseURLs)),
+		ring:             NewRing(len(bases)),
 		policy:           DefaultPoolPolicy(),
 		sleep:            sleepContext,
 		healthEvery:      DefaultHealthInterval,
@@ -216,29 +244,21 @@ func NewPool(baseURLs []string, opts ...PoolOption) (*Pool, error) {
 	if p.doer == nil {
 		p.doer = &http.Client{Timeout: 30 * time.Second}
 	}
-	seen := make(map[string]bool, len(baseURLs))
-	for _, base := range baseURLs {
-		base = NormalizeBaseURL(base)
-		if base == "" {
-			return nil, fmt.Errorf("httpx: pool: empty base URL")
-		}
-		if seen[base] {
-			return nil, fmt.Errorf("httpx: pool: duplicate base URL %s", base)
-		}
-		seen[base] = true
-		ep := &Endpoint{base: base, breaker: NewBreaker(p.breakerThreshold, p.breakerCooldown)}
-		p.endpoints = append(p.endpoints, ep)
+	for _, base := range bases {
+		p.endpoints = append(p.endpoints, &Endpoint{base: base, breaker: NewBreaker(p.breakerThreshold, p.breakerCooldown)})
 	}
 	if p.metricsService != "" {
 		p.metrics = newPoolMetrics(p.metricsService, p.endpoints)
 	}
-	if p.healthEvery > 0 {
+	// pick falls through to a down endpoint when it is the only one, so a
+	// pool of one has nothing to probe for.
+	if p.healthEvery > 0 && len(p.endpoints) > 1 {
 		for i := range p.endpoints {
 			p.wg.Add(1)
 			go p.healthLoop(i)
 		}
 	}
-	return p, nil
+	return p
 }
 
 // Close stops the background health probes. Safe to call more than once
@@ -281,12 +301,24 @@ func (p *Pool) Failovers() int64 { return p.failovers.Load() }
 // that survives every attempt the final response is returned unconsumed;
 // on a transport error the last error is returned wrapped.
 func (p *Pool) Get(ctx context.Context, key uint64, pathAndQuery string) (*http.Response, error) {
+	return p.do(ctx, key, nil, pathAndQuery)
+}
+
+// do is the retry loop behind Get and Client.Do. Each attempt is a clone of
+// orig sent to orig's own URL when orig is set (a Client), and otherwise a
+// GET for the picked endpoint's base URL plus pathAndQuery. A request whose
+// body cannot be replayed gets a single attempt.
+func (p *Pool) do(ctx context.Context, key uint64, orig *http.Request, pathAndQuery string) (*http.Response, error) {
 	attempts := p.policy.MaxAttempts
-	if attempts < 1 {
+	if attempts < 1 || (orig != nil && orig.Body != nil && orig.GetBody == nil) {
 		attempts = 1
 	}
+	m := p.metrics
+	if m != nil {
+		m.requests.Inc()
+	}
 	tried := make([]bool, len(p.endpoints))
-	triedCount := 0
+	triedCount, round, prev := 0, 0, -1
 	attemptedThisRound := false
 	var retryHint time.Duration // largest Retry-After seen this round
 
@@ -299,6 +331,9 @@ func (p *Pool) Get(ctx context.Context, key uint64, pathAndQuery string) (*http.
 			if !attemptedThisRound {
 				// Every endpoint's breaker refused without a single try:
 				// the whole tier is circuit-open, fail fast.
+				if m != nil {
+					m.breakerRejected.Inc()
+				}
 				return nil, fmt.Errorf("httpx: pool: %w: %w", ErrNoEndpoints, ErrCircuitOpen)
 			}
 			// Every endpoint failed this round: clear the slate and pace
@@ -310,7 +345,8 @@ func (p *Pool) Get(ctx context.Context, key uint64, pathAndQuery string) (*http.
 			}
 			triedCount = 0
 			attemptedThisRound = false
-			delay := p.backoff(i)
+			delay := p.backoff(round)
+			round++
 			if retryHint > delay {
 				delay = retryHint
 				if p.policy.MaxDelay > 0 && delay > p.policy.MaxDelay {
@@ -321,6 +357,9 @@ func (p *Pool) Get(ctx context.Context, key uint64, pathAndQuery string) (*http.
 			if err := p.sleep(ctx, delay); err != nil {
 				return nil, err
 			}
+		}
+		if err := p.pace(ctx); err != nil {
+			return nil, err
 		}
 		idx := p.pick(key, tried)
 		if idx < 0 {
@@ -340,19 +379,27 @@ func (p *Pool) Get(ctx context.Context, key uint64, pathAndQuery string) (*http.
 		}
 		attemptedThisRound = true
 		if i > 0 {
-			p.failovers.Add(1)
-			if p.metrics != nil {
-				p.metrics.failovers.Inc()
+			if m != nil {
+				m.retries.Inc()
+			}
+			if idx != prev {
+				p.failovers.Add(1)
+				if m != nil {
+					m.failovers.Inc()
+				}
 			}
 		}
 		i++
+		prev = idx
 
-		resp, err := p.attempt(ctx, ep, idx, pathAndQuery)
+		resp, err := p.attempt(ctx, ep, idx, orig, pathAndQuery)
 		switch {
 		case err != nil:
 			// A dead parent context is the caller giving up, not the shard
-			// failing: surface it without charging the endpoint.
+			// failing: surface it without charging the endpoint, handing
+			// back the half-open probe slot this attempt may hold.
 			if ctxErr := ctx.Err(); ctxErr != nil {
+				ep.breaker.abandon()
 				return nil, ctxErr
 			}
 			// Transport error: the instance is likely gone. Mark it down
@@ -362,6 +409,9 @@ func (p *Pool) Get(ctx context.Context, key uint64, pathAndQuery string) (*http.
 			p.setHealthy(ep, idx, false)
 			lastErr = err
 			if i == attempts {
+				if m != nil {
+					m.exhausted.Inc()
+				}
 				return nil, fmt.Errorf("httpx: pool: %d attempts: %w", attempts, lastErr)
 			}
 		case RetryableStatus(resp.StatusCode):
@@ -370,6 +420,9 @@ func (p *Pool) Get(ctx context.Context, key uint64, pathAndQuery string) (*http.
 			// backoff if every shard turns out to be shedding too.
 			p.recordFailure(ep, idx)
 			if i == attempts {
+				if m != nil {
+					m.exhausted.Inc()
+				}
 				return resp, nil
 			}
 			if ra := retryAfter(resp); ra > retryHint {
@@ -384,30 +437,53 @@ func (p *Pool) Get(ctx context.Context, key uint64, pathAndQuery string) (*http.
 	}
 }
 
+// pace takes a rate-limit token before an attempt, timing the wait only
+// when the pool is instrumented.
+func (p *Pool) pace(ctx context.Context) error {
+	if p.limiter == nil {
+		return nil
+	}
+	if p.metrics == nil {
+		return p.limiter.Wait(ctx)
+	}
+	start := time.Now()
+	err := p.limiter.Wait(ctx)
+	p.metrics.limiterWait.ObserveSince(start)
+	return err
+}
+
 // attempt issues one try against one endpoint under the per-attempt
 // timeout, tracking the in-flight count the least-loaded selection reads.
-func (p *Pool) attempt(ctx context.Context, ep *Endpoint, idx int, pathAndQuery string) (*http.Response, error) {
+// The derived context's cancel is tied to the response body so the
+// connection is released when the caller closes it.
+func (p *Pool) attempt(ctx context.Context, ep *Endpoint, idx int, orig *http.Request, pathAndQuery string) (*http.Response, error) {
 	cancel := context.CancelFunc(func() {})
 	if p.policy.PerAttemptTimeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, p.policy.PerAttemptTimeout)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ep.base+pathAndQuery, nil)
+	req, err := newAttemptRequest(ctx, ep, orig, pathAndQuery)
 	if err != nil {
 		cancel()
-		return nil, fmt.Errorf("httpx: pool: building request: %w", err)
+		return nil, err
 	}
-	// Same propagation as Client.Do: every pooled attempt (including
-	// failovers to another shard) carries the caller's span identity.
+	// Propagate the caller's span identity so the server can open a
+	// parent-linked span: injected per attempt, so every retry's and
+	// failover's server-side span links back to the same client span. Free
+	// when tracing is off (no span in the context means no header).
 	obs.InjectTraceHeader(ctx, req.Header)
 	ep.requests.Add(1)
 	ep.inFlight.Add(1)
+	var start time.Time
 	if p.metrics != nil {
-		p.metrics.requests[idx].Inc()
+		p.metrics.attempts.Inc()
+		p.metrics.epRequests[idx].Inc()
 		p.metrics.inFlight[idx].Add(1)
+		start = time.Now()
 	}
 	resp, err := p.doer.Do(req)
 	ep.inFlight.Add(-1)
 	if p.metrics != nil {
+		p.metrics.attemptSeconds.ObserveSince(start)
 		p.metrics.inFlight[idx].Add(-1)
 	}
 	if err != nil {
@@ -416,6 +492,28 @@ func (p *Pool) attempt(ctx context.Context, ep *Endpoint, idx int, pathAndQuery 
 	}
 	resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
 	return resp, nil
+}
+
+// newAttemptRequest builds one attempt's request: a clone of orig with its
+// body rewound when orig is set, otherwise a GET for the endpoint's base URL
+// plus pathAndQuery.
+func newAttemptRequest(ctx context.Context, ep *Endpoint, orig *http.Request, pathAndQuery string) (*http.Request, error) {
+	if orig == nil {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ep.base+pathAndQuery, nil)
+		if err != nil {
+			return nil, fmt.Errorf("httpx: pool: building request: %w", err)
+		}
+		return req, nil
+	}
+	req := orig.Clone(ctx)
+	if orig.GetBody != nil && orig.Body != nil {
+		body, err := orig.GetBody()
+		if err != nil {
+			return nil, fmt.Errorf("httpx: rewinding body: %w", err)
+		}
+		req.Body = body
+	}
+	return req, nil
 }
 
 // pick selects the endpoint for key among those not yet tried this round:
@@ -518,13 +616,15 @@ func (p *Pool) observeEndpoint(ep *Endpoint, idx int) {
 	}
 }
 
-// backoff returns the jittered exponential delay before round i, shared
-// shape with Client.backoff.
-func (p *Pool) backoff(attempt int) time.Duration {
+// backoff returns the jittered exponential delay before round r+1, once
+// round r (0-based) has failed on every endpoint: BaseDelay·Multiplier^r,
+// spread by ±Jitter and capped at MaxDelay. For a pool of one a round is
+// one attempt.
+func (p *Pool) backoff(round int) time.Duration {
 	pol := p.policy
 	d := float64(pol.BaseDelay)
-	if pol.Multiplier > 0 && attempt > 0 {
-		d *= pow(pol.Multiplier, attempt)
+	if pol.Multiplier > 0 {
+		d *= math.Pow(pol.Multiplier, float64(round))
 	}
 	if pol.Jitter > 0 {
 		p.mu.Lock()
@@ -539,15 +639,6 @@ func (p *Pool) backoff(attempt int) time.Duration {
 		d = 0
 	}
 	return time.Duration(d)
-}
-
-// pow is an integer-exponent power loop (math.Pow is overkill for backoff).
-func pow(base float64, exp int) float64 {
-	out := 1.0
-	for ; exp > 0; exp-- {
-		out *= base
-	}
-	return out
 }
 
 // healthLoop probes one endpoint's health path until Close.
@@ -566,7 +657,8 @@ func (p *Pool) healthLoop(idx int) {
 	}
 }
 
-// probe issues one health check; any 2xx answer counts as alive.
+// probe issues one health check; any 2xx answer counts as alive. Probes go
+// straight to the transport, so they spend no rate-limit tokens.
 func (p *Pool) probe(ep *Endpoint) bool {
 	timeout := p.healthEvery * 4
 	if timeout < time.Second {

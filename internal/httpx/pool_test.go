@@ -5,13 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"elevprivacy/internal/obs"
 )
 
 func TestNormalizeBaseURL(t *testing.T) {
@@ -338,8 +342,10 @@ func TestPoolHealthProbeMarksDownAndUp(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 	}))
 	defer srv.Close()
+	_, urls, _ := countingServers(t, 1)
 
-	p, err := NewPool([]string{srv.URL}, WithPoolHealthInterval(5*time.Millisecond))
+	// Two endpoints, since a pool of one does not probe.
+	p, err := NewPool([]string{srv.URL, urls[0]}, WithPoolHealthInterval(5*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,6 +365,206 @@ func TestPoolHealthProbeMarksDownAndUp(t *testing.T) {
 	waitHealth(false)
 	sick.Store(false)
 	waitHealth(true)
+}
+
+// TestPoolCancelledProbeFreesBreaker: a caller that gives up during the
+// half-open probe hands the probe slot back, so the endpoint's breaker
+// admits the next probe instead of refusing every request from then on.
+func TestPoolCancelledProbeFreesBreaker(t *testing.T) {
+	var mode atomic.Int32 // 0 fail, 1 hang until the caller gives up, 2 ok
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch mode.Load() {
+		case 0:
+			w.WriteHeader(http.StatusServiceUnavailable)
+		case 1:
+			<-r.Context().Done()
+		default:
+			w.WriteHeader(http.StatusOK)
+		}
+	}))
+	defer srv.Close()
+
+	const cooldown = 20 * time.Millisecond
+	p, err := NewPool([]string{srv.URL}, WithPoolBreaker(1, cooldown), WithPoolPolicy(Policy{MaxAttempts: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	drainClose(poolGet(t, p, HashKey("k"), "/x")) // one 503 opens the breaker
+	if got := p.Stats()[0].Breaker; got != "open" {
+		t.Fatalf("breaker %q after a failure at threshold 1, want open", got)
+	}
+
+	time.Sleep(2 * cooldown)
+	mode.Store(1)
+	ctx, cancel := context.WithTimeout(context.Background(), cooldown)
+	defer cancel()
+	if _, err := p.Get(ctx, HashKey("k"), "/x"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("abandoned probe: err = %v, want deadline exceeded", err)
+	}
+
+	mode.Store(2)
+	resp, err := p.Get(context.Background(), HashKey("k"), "/x")
+	if err != nil {
+		t.Fatalf("request after an abandoned probe: %v (breaker %s)", err, p.Stats()[0].Breaker)
+	}
+	drainClose(resp)
+	if got := p.Stats()[0].Breaker; got != "closed" {
+		t.Errorf("breaker %q after a successful probe, want closed", got)
+	}
+}
+
+// TestPoolOfOneStartsNoProbes: a down mark cannot move traffic off a
+// pool's only endpoint, so a pool of one sends no /healthz probes.
+func TestPoolOfOneStartsNoProbes(t *testing.T) {
+	var probes atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			probes.Add(1)
+		}
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer srv.Close()
+
+	p, err := NewPool([]string{srv.URL}, WithPoolHealthInterval(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	time.Sleep(30 * time.Millisecond)
+	if n := probes.Load(); n != 0 {
+		t.Fatalf("a pool of one sent %d /healthz probes, want none", n)
+	}
+}
+
+// TestPoolProbesSpendNoRateTokens: the limiter paces attempts inside the
+// retry loop, so background health probes leave its tokens alone.
+func TestPoolProbesSpendNoRateTokens(t *testing.T) {
+	var probes atomic.Int64
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			probes.Add(1)
+		}
+		w.WriteHeader(http.StatusOK)
+	})
+	s0, s1 := httptest.NewServer(h), httptest.NewServer(h)
+	defer s0.Close()
+	defer s1.Close()
+
+	// One token in the bucket; the next arrives in about 17 minutes.
+	p, err := NewPool([]string{s0.URL, s1.URL}, WithPoolHealthInterval(time.Millisecond),
+		WithPoolLimiter(NewLimiter(0.001, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for probes.Load() < 4 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d probes in 2s", probes.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	resp, err := p.Get(ctx, HashKey("k"), "/x")
+	if err != nil {
+		t.Fatalf("first Get after %d probes: %v (did the probes spend the token?)", probes.Load(), err)
+	}
+	drainClose(resp)
+	// The attempt took the only token, so the next Get waits for one and
+	// its context ends the wait.
+	short, cancelShort := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer cancelShort()
+	if _, err := p.Get(short, HashKey("k"), "/x"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("second Get: err = %v, want the limiter wait to hit the deadline", err)
+	}
+}
+
+// TestPoolMetricsPublishBothFamilies: an instrumented pool publishes the
+// service-level elevpriv_httpx_* series and the per-endpoint
+// elevpriv_pool_* series together.
+func TestPoolMetricsPublishBothFamilies(t *testing.T) {
+	_, urls, _ := countingServers(t, 2)
+	const service = "test_pool_families"
+	moved := counterDeltas(service, "requests", "attempts", "retries")
+	epRequests := func() (n int64) {
+		for _, u := range urls {
+			n += obs.GetCounter(`elevpriv_pool_requests_total{service="` + service + `",endpoint="` + u + `"}`).Value()
+		}
+		return n
+	}
+	attemptSeconds := obs.GetHistogram(`elevpriv_httpx_attempt_seconds{service="`+service+`"}`, nil)
+	epBefore, timedBefore := epRequests(), attemptSeconds.Count()
+
+	p, err := NewPool(urls, WithPoolHealthInterval(0), WithPoolMetrics(service))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	drainClose(poolGet(t, p, HashKey("k"), "/x"))
+
+	if got := moved(); !reflect.DeepEqual(got, []int64{1, 1, 0}) {
+		t.Errorf("requests, attempts, retries moved by %v, want [1 1 0]", got)
+	}
+	if got := epRequests() - epBefore; got != 1 {
+		t.Errorf("per-endpoint requests moved by %d, want 1", got)
+	}
+	if got := attemptSeconds.Count() - timedBefore; got != 1 {
+		t.Errorf("attempt_seconds observed %d attempts, want 1", got)
+	}
+}
+
+// TestPoolBackoffByRound pins the round schedule: once every endpoint has
+// failed in round r, the loop sleeps BaseDelay·Multiplier^r before round
+// r+1, whatever the endpoint count. Retries against a pool's only endpoint
+// are not failovers.
+func TestPoolBackoffByRound(t *testing.T) {
+	for _, n := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("%d-endpoints", n), func(t *testing.T) {
+			urls := make([]string, n)
+			for i := range urls {
+				srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					w.WriteHeader(http.StatusServiceUnavailable)
+				}))
+				t.Cleanup(srv.Close)
+				urls[i] = srv.URL
+			}
+			pol := DefaultPoolPolicy()
+			pol.Jitter = 0
+			pol.MaxAttempts = 3 * n // three rounds, two round wraps
+			ns := &noSleep{}
+			p, err := NewPool(urls, WithPoolHealthInterval(0), WithPoolPolicy(pol), WithPoolSleep(ns.sleep))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+
+			resp, err := p.Get(context.Background(), HashKey("k"), "/x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			drainClose(resp)
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("status %d, want 503 after the exhausted budget", resp.StatusCode)
+			}
+			var want []time.Duration
+			for r := 0; r < 2; r++ {
+				want = append(want, time.Duration(float64(pol.BaseDelay)*math.Pow(pol.Multiplier, float64(r))))
+			}
+			if !reflect.DeepEqual(ns.delays, want) {
+				t.Errorf("round-wrap sleeps = %v, want %v", ns.delays, want)
+			}
+			wantFailovers := int64(3*n - 1)
+			if n == 1 {
+				wantFailovers = 0
+			}
+			if got := p.Failovers(); got != wantFailovers {
+				t.Errorf("failovers = %d, want %d", got, wantFailovers)
+			}
+		})
+	}
 }
 
 func TestPoolRetryableStatusFailsOver(t *testing.T) {

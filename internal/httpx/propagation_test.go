@@ -33,8 +33,8 @@ func TestClientRetriesPropagateOneClientSpan(t *testing.T) {
 	defer srv.Close()
 
 	c := NewClient(srv.Client(),
-		WithPolicy(Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, Multiplier: 2}),
-		WithSleep(func(ctx context.Context, d time.Duration) error { return ctx.Err() }),
+		WithPoolPolicy(Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, Multiplier: 2}),
+		WithPoolSleep(func(ctx context.Context, d time.Duration) error { return ctx.Err() }),
 	)
 
 	ctx, clientSpan := tracer.StartSpan(context.Background(), "sweep/segments")
@@ -89,7 +89,7 @@ func TestClientWithoutSpanSendsNoTraceHeader(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := NewClient(srv.Client(), WithPolicy(Policy{MaxAttempts: 1}))
+	c := NewClient(srv.Client(), WithPoolPolicy(Policy{MaxAttempts: 1}))
 	req, err := http.NewRequestWithContext(context.Background(), http.MethodGet, srv.URL, nil)
 	if err != nil {
 		t.Fatal(err)

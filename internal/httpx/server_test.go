@@ -8,11 +8,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"elevprivacy/internal/obs"
 )
 
 func TestRecoverHandlerKeepsServerAlive(t *testing.T) {
@@ -128,12 +131,15 @@ func TestClientHonorsShedRetryAfter(t *testing.T) {
 	defer srv.Close()
 
 	var slept []time.Duration
+	const service = "test_client_shed_retry_after"
+	moved := counterDeltas(service, "requests", "attempts", "retries")
 	c := NewClient(srv.Client(),
-		WithPolicy(Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Second, Multiplier: 2}),
-		WithSleep(func(ctx context.Context, d time.Duration) error {
+		WithPoolPolicy(Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Second, Multiplier: 2}),
+		WithPoolSleep(func(ctx context.Context, d time.Duration) error {
 			slept = append(slept, d)
 			return ctx.Err()
 		}),
+		WithPoolMetrics(service),
 	)
 	req, err := http.NewRequestWithContext(context.Background(), http.MethodGet, srv.URL, nil)
 	if err != nil {
@@ -152,9 +158,29 @@ func TestClientHonorsShedRetryAfter(t *testing.T) {
 		t.Fatalf("client ignored Retry-After: slept %v", slept)
 	}
 
-	s := c.Stats()
-	if s.Requests != 1 || s.Attempts != 2 || s.Retries != 1 {
-		t.Fatalf("stats = %+v, want 1 request, 2 attempts, 1 retry", s)
+	if got := moved(); !reflect.DeepEqual(got, []int64{1, 2, 1}) {
+		t.Fatalf("requests, attempts, retries moved by %v, want 1 request, 2 attempts, 1 retry", got)
+	}
+}
+
+// counterDeltas returns a func reporting how far each named
+// elevpriv_httpx_<name>_total{service} counter has moved since this call;
+// the obs registry outlives a test run, so tests compare with a baseline.
+func counterDeltas(service string, names ...string) func() []int64 {
+	read := func() []int64 {
+		out := make([]int64, len(names))
+		for i, n := range names {
+			out[i] = obs.GetCounter("elevpriv_httpx_" + n + `_total{service="` + service + `"}`).Value()
+		}
+		return out
+	}
+	base := read()
+	return func() []int64 {
+		now := read()
+		for i := range now {
+			now[i] -= base[i]
+		}
+		return now
 	}
 }
 
@@ -235,11 +261,16 @@ func TestDynamicRetryAfterScalesWithShedRate(t *testing.T) {
 	// The pooled client sees the grown hint and backs off by at least that
 	// much before its successful retry.
 	var slept []time.Duration
+	var releaseOnce sync.Once
 	c := NewClient(srv.Client(),
-		WithPolicy(Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Minute, Multiplier: 2}),
-		WithSleep(func(ctx context.Context, d time.Duration) error {
+		WithPoolPolicy(Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Minute, Multiplier: 2}),
+		WithPoolSleep(func(ctx context.Context, d time.Duration) error {
 			slept = append(slept, d)
-			close(release) // free the slot so the retry lands
+			// Free the slot and wait for its holder to finish: the shedder
+			// frees the slot before the holder's response is flushed, so
+			// the retry is then admitted instead of racing the holder.
+			releaseOnce.Do(func() { close(release) })
+			wg.Wait()
 			return ctx.Err()
 		}),
 	)
@@ -295,17 +326,22 @@ func TestHealthHandler(t *testing.T) {
 	}
 }
 
+// TestClientStatsBreakerState: a client's exhausted budget and its breaker
+// refusals land in the service-level counters, and the per-endpoint gauge
+// carries the breaker state.
 func TestClientStatsBreakerState(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "down", http.StatusInternalServerError)
 	}))
 	defer srv.Close()
 
-	b := NewBreaker(2, time.Hour)
+	const service = "test_client_breaker_state"
+	moved := counterDeltas(service, "requests", "attempts", "exhausted_retries", "breaker_rejected")
 	c := NewClient(srv.Client(),
-		WithPolicy(Policy{MaxAttempts: 2, BaseDelay: time.Microsecond}),
-		WithSleep(func(ctx context.Context, d time.Duration) error { return ctx.Err() }),
-		WithBreaker(b),
+		WithPoolPolicy(Policy{MaxAttempts: 2, BaseDelay: time.Microsecond}),
+		WithPoolSleep(func(ctx context.Context, d time.Duration) error { return ctx.Err() }),
+		WithPoolBreaker(2, time.Hour),
+		WithPoolMetrics(service),
 	)
 	req, _ := http.NewRequestWithContext(context.Background(), http.MethodGet, srv.URL, nil)
 	resp, err := c.Do(req)
@@ -314,20 +350,20 @@ func TestClientStatsBreakerState(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	s := c.Stats()
-	if s.Breaker != "open" {
-		t.Fatalf("breaker state = %q, want open", s.Breaker)
+	state := obs.GetGauge(`elevpriv_pool_breaker_state{service="` + service + `",endpoint=""}`).Value()
+	if state != breakerStateValue("open") {
+		t.Fatalf("breaker state gauge = %v, want %v (open)", state, breakerStateValue("open"))
 	}
-	if s.ExhaustedRetries != 1 {
-		t.Fatalf("exhausted = %d, want 1", s.ExhaustedRetries)
+	if got := moved(); !reflect.DeepEqual(got, []int64{1, 2, 1, 0}) {
+		t.Fatalf("requests, attempts, exhausted, rejected moved by %v, want [1 2 1 0]", got)
 	}
 
-	// A second request is refused outright and counted.
+	// A second request is refused outright and counted, with no attempt.
 	req2, _ := http.NewRequestWithContext(context.Background(), http.MethodGet, srv.URL, nil)
 	if _, err := c.Do(req2); err == nil {
 		t.Fatal("open breaker admitted a request")
 	}
-	if got := c.Stats().BreakerRejected; got != 1 {
-		t.Fatalf("breaker_rejected = %d, want 1", got)
+	if got := moved(); !reflect.DeepEqual(got, []int64{2, 2, 1, 1}) {
+		t.Fatalf("requests, attempts, exhausted, rejected moved by %v, want [2 2 1 1]", got)
 	}
 }

@@ -7,16 +7,15 @@ import (
 	"path/filepath"
 
 	"elevprivacy/internal/durable"
-	"elevprivacy/internal/httpx"
 	"elevprivacy/internal/obs"
 )
 
 // Checkpoint run metadata: every durable CLI (elevmine, experiments, the
 // scenario orchestrator) snapshots the same three things next to its journal
-// — what configuration the journal belongs to, how healthy the HTTP
-// transport was, and the metrics registry so telemetry accumulates across a
-// crash/resume boundary. This file is the one shared implementation; the
-// CLIs used to carry private copies.
+// — what configuration the journal belongs to, the journal's state, and the
+// metrics registry (which carries the HTTP transport's health) so telemetry
+// accumulates across a crash/resume boundary. This file is the one shared
+// implementation; the CLIs used to carry private copies.
 
 // runMetaVersion is the snapshot envelope version for meta files.
 const runMetaVersion = 1
@@ -28,8 +27,6 @@ type RunMeta struct {
 	// Config is the tool's run configuration, marshaled by the caller so
 	// each CLI keeps its own shape.
 	Config json.RawMessage `json:"config,omitempty"`
-	// Clients records transport health per service client.
-	Clients map[string]httpx.Stats `json:"clients,omitempty"`
 	// Journal is the work journal's state at write time.
 	Journal durable.JournalStats `json:"journal"`
 	// Metrics is the obs registry snapshot at write time; a resumed run

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"elevprivacy/internal/durable"
-	"elevprivacy/internal/httpx"
 	"elevprivacy/internal/obs"
 )
 
@@ -16,7 +15,6 @@ func TestRunMetaRoundTrip(t *testing.T) {
 	in := RunMeta{
 		Tool:    "testtool",
 		Config:  json.RawMessage(`{"grid":4}`),
-		Clients: map[string]httpx.Stats{"segments": {Requests: 9, Attempts: 12}},
 		Journal: durable.JournalStats{Keys: 3},
 	}
 	if err := SaveRunMeta(dir, "test.meta", in); err != nil {
@@ -28,9 +26,6 @@ func TestRunMetaRoundTrip(t *testing.T) {
 	}
 	if out.Tool != "testtool" || string(out.Config) != `{"grid":4}` {
 		t.Errorf("round trip lost tool/config: %+v", out)
-	}
-	if out.Clients["segments"].Attempts != 12 {
-		t.Errorf("client stats lost: %+v", out.Clients)
 	}
 	if out.Journal.Keys != 3 {
 		t.Errorf("journal stats lost: %+v", out.Journal)

@@ -49,13 +49,15 @@ func Register(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// PoolFlags holds the endpoint-pool tuning knobs a CLI grows once it talks
-// to a sharded serving tier; populate via RegisterPool, then hand
-// Options(service) to httpx.NewPool. Shared here so every sweep binary
-// exposes the same four flags instead of inventing its own spellings.
+// PoolFlags holds the endpoint-pool tuning knobs of a CLI that talks to its
+// services through httpx pools, over one address or a sharded tier;
+// populate via RegisterPool, then hand Options(service) to httpx.NewPool.
+// Shared here so every sweep binary exposes the same four flags instead of
+// inventing its own spellings.
 type PoolFlags struct {
 	// HealthInterval is the background /healthz probe period; 0 disables
-	// active probing (passive down-marking still applies).
+	// active probing (passive down-marking still applies). A one-address
+	// pool never probes.
 	HealthInterval time.Duration
 	// DownTTL is how long a passive down mark keeps an endpoint out of
 	// selection before it gets an optimistic retry.

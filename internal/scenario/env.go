@@ -25,17 +25,17 @@ import (
 var envStarts atomic.Int64
 
 // env is the per-mine-unit service environment: a populated segment store
-// and an elevation source served over real loopback TCP, with resilient
-// httpx clients in front — the same topology cmd/elevmine builds, scoped to
-// one work unit so HTTP attempts and sweep checkpoints are attributable to
-// exactly one mine config.
+// and an elevation source served over real loopback TCP, with an httpx pool
+// of one in front of each — the same topology cmd/elevmine builds for one
+// address, scoped to one work unit so HTTP attempts and sweep checkpoints
+// are attributable to exactly one mine config.
 type env struct {
-	segSrv, elevSrv       *http.Server
-	segClient, elevClient *httpx.Client
-	miner                 *segments.Miner
-	classes               map[string]geo.BBox
-	journalPath           string
-	journal               *durable.Journal
+	segSrv, elevSrv   *http.Server
+	segPool, elevPool *httpx.Pool
+	miner             *segments.Miner
+	classes           map[string]geo.BBox
+	journalPath       string
+	journal           *durable.Journal
 }
 
 // multiSource routes elevation queries to the containing city's terrain.
@@ -133,12 +133,14 @@ func startEnv(sc *Scenario, rateLimit float64, subJournal string, drain <-chan s
 	go func() { _ = e.segSrv.Serve(segLis) }()
 	go func() { _ = e.elevSrv.Serve(elevLis) }()
 
-	e.segClient = resilientClient("scenario_segments", rateLimit)
-	e.elevClient = resilientClient("scenario_elevation", rateLimit)
-	e.miner = segments.NewMiner(
-		segments.NewClient(segURL, e.segClient),
-		elevsvc.NewClient(elevURL, e.elevClient),
-	)
+	if e.segPool, err = minePool(segURL, "scenario_segments", rateLimit); err == nil {
+		e.elevPool, err = minePool(elevURL, "scenario_elevation", rateLimit)
+	}
+	if err != nil {
+		e.close()
+		return nil, err
+	}
+	e.miner = segments.NewMiner(segments.NewPoolClient(e.segPool), elevsvc.NewPoolClient(e.elevPool))
 	e.miner.GridRows = sc.Grid
 	e.miner.GridCols = sc.Grid
 	e.miner.Samples = sc.Samples
@@ -158,9 +160,15 @@ func startEnv(sc *Scenario, rateLimit float64, subJournal string, drain <-chan s
 	return e, nil
 }
 
-// attempts sums the HTTP attempts both clients issued.
+// attempts sums the HTTP attempts both pools issued.
 func (e *env) attempts() int64 {
-	return e.segClient.Stats().Attempts + e.elevClient.Stats().Attempts
+	var n int64
+	for _, p := range []*httpx.Pool{e.segPool, e.elevPool} {
+		for _, s := range p.Stats() {
+			n += s.Requests
+		}
+	}
+	return n
 }
 
 // close tears the environment down, keeping the sub-journal on disk (a
@@ -172,6 +180,8 @@ func (e *env) close() {
 	if e.elevSrv != nil {
 		_ = e.elevSrv.Close()
 	}
+	e.segPool.Close()
+	e.elevPool.Close()
 	if e.journal != nil {
 		_ = e.journal.Close()
 	}
@@ -186,18 +196,18 @@ func (e *env) discardJournal() {
 	}
 }
 
-// resilientClient builds the httpx client a mine sweep talks through:
-// default retry policy, breaker, per-service metrics, optional rate limit.
-func resilientClient(service string, rps float64) *httpx.Client {
-	opts := []httpx.Option{
-		httpx.WithPolicy(httpx.DefaultPolicy()),
-		httpx.WithBreaker(httpx.NewBreaker(16, 5*time.Second)),
-		httpx.WithMetrics(service),
+// minePool builds the pool of one a mine sweep talks through: the pool's
+// default retry policy, a 16-failure/5 s breaker, per-service metrics, and
+// an optional rate limit.
+func minePool(url, service string, rps float64) (*httpx.Pool, error) {
+	opts := []httpx.PoolOption{
+		httpx.WithPoolBreaker(16, 5*time.Second),
+		httpx.WithPoolMetrics(service),
 	}
 	if rps > 0 {
-		opts = append(opts, httpx.WithLimiter(httpx.NewLimiter(rps, 10)))
+		opts = append(opts, httpx.WithPoolLimiter(httpx.NewLimiter(rps, 10)))
 	}
-	return httpx.NewClient(&http.Client{Timeout: 30 * time.Second}, opts...)
+	return httpx.NewPool([]string{url}, opts...)
 }
 
 // listenLoopback opens a loopback listener and returns its base URL.

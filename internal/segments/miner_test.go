@@ -3,6 +3,7 @@ package segments
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -41,7 +42,7 @@ type faultableStack struct {
 	elevFT *httpx.FaultTripper
 }
 
-func newFaultableStack(tb testing.TB, store *Store, segOpts, elevOpts []httpx.Option) *faultableStack {
+func newFaultableStack(tb testing.TB, store *Store, segOpts, elevOpts []httpx.PoolOption) *faultableStack {
 	tb.Helper()
 	world := terrain.World()
 	wdc, err := terrain.CityByName(world, "WDC")
@@ -60,10 +61,15 @@ func newFaultableStack(tb testing.TB, store *Store, segOpts, elevOpts []httpx.Op
 
 	segFT := httpx.NewFaultTripper(nil)
 	elevFT := httpx.NewFaultTripper(nil)
-	base := []httpx.Option{
-		httpx.WithPolicy(faultPolicy()),
-		httpx.WithSleep(instantSleep),
-		httpx.WithJitterSeed(1),
+	base := []httpx.PoolOption{
+		httpx.WithPoolPolicy(faultPolicy()),
+		httpx.WithPoolSleep(instantSleep),
+		httpx.WithPoolJitterSeed(1),
+		// A threshold no run reaches: these stacks absorb faults by
+		// retrying, and one class's injected failures must not trip a
+		// breaker that then fails the next class fast.
+		// TestMinerCircuitBreakerOpensAndRecovers passes its own.
+		httpx.WithPoolBreaker(math.MaxInt, time.Second),
 	}
 	segClient := httpx.NewClient(&http.Client{Transport: segFT}, append(base, segOpts...)...)
 	elevClient := httpx.NewClient(&http.Client{Transport: elevFT}, append(base, elevOpts...)...)
@@ -318,8 +324,7 @@ func TestMineClassesPartialReportsPerClassErrors(t *testing.T) {
 // re-closes the breaker and succeeds.
 func TestMinerCircuitBreakerOpensAndRecovers(t *testing.T) {
 	store := populatedStore(t, 11, 40)
-	breaker := httpx.NewBreaker(3, 150*time.Millisecond)
-	stack := newFaultableStack(t, store, nil, []httpx.Option{httpx.WithBreaker(breaker)})
+	stack := newFaultableStack(t, store, nil, []httpx.PoolOption{httpx.WithPoolBreaker(3, 150*time.Millisecond)})
 	stack.miner.Samples = 20
 	stack.miner.Workers = 1 // serial keeps the consecutive-failure count exact
 

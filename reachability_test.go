@@ -27,10 +27,7 @@ var reachAllowed = map[string]struct {
 	kind   allowKind
 	reason string
 }{
-	"internal/httpx.WithSleep":                 {testHook, "replaces the retry backoff sleep, so retry tests run without waiting"},
-	"internal/httpx.WithJitterSeed":            {testHook, "pins the backoff jitter, so retry schedules are deterministic in tests"},
-	"internal/httpx.WithPoolSleep":             {testHook, "the pool's backoff sleep hook, as WithSleep is the single client's"},
-	"internal/httpx.WithPoolPolicy":            {testHook, "shrinks the pool's attempts and backoff, so failover tests run quickly"},
+	"internal/httpx.WithPoolSleep":             {testHook, "replaces the retry loop's backoff sleep, so retry tests run without waiting"},
 	"internal/httpx.MatchPath":                 {testHook, "aims FaultTripper faults at one endpoint, so a test can fault elevation calls and not explore calls"},
 	"internal/httpx.FaultTripper.Calls":        {testHook, "lets fault tests count the attempts that reached the transport"},
 	"internal/httpx.FaultTripper.Injected":     {testHook, "lets fault tests count the faults injected"},

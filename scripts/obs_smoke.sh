@@ -51,7 +51,7 @@ echo "==> required series present"
 for series in \
     'elevpriv_httpx_attempts_total{service="segments"}' \
     'elevpriv_httpx_retries_total{service="segments"}' \
-    'elevpriv_httpx_breaker_state{service="segments"}' \
+    'elevpriv_pool_breaker_state{service="segments"' \
     elevpriv_pool_queue_depth \
     elevpriv_pool_units_dispatched_total \
     elevpriv_journal_appends_total \
